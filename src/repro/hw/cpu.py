@@ -26,24 +26,30 @@ Host performance
 ``_step`` and the effect interpreters are the simulator's innermost loop;
 they obey the hot-path rules of ARCHITECTURE §10:
 
-* Effects dispatch through a *type-keyed table* (``_DISPATCH``), one dict
-  lookup on ``type(effect)`` instead of an isinstance chain.  Effect
+* *Inline stepping.*  A step ``Event`` fires :meth:`CPU._run_steps`, which
+  keeps running this CPU's next step in place for as long as it sorts
+  strictly before every queued event, so most effects never touch the
+  event queue.  A step allocates an ``Event`` and a heap tuple only when
+  it yields to the heap.
+* ``_step`` dispatches through a *type-keyed table* (``_DISPATCH``), one
+  dict lookup on ``type(effect)`` instead of an isinstance chain.  Effect
   subclasses resolve through the MRO once and are cached.
 * Trace emission is gated on the tracer's per-category flags before any
   argument is built, so a disabled tracer costs one attribute check.
-* Per-step allocations are limited to the unavoidable event-queue entry;
-  step tags are precomputed, not formatted per step.
+* Hot handlers read ``activity.frames[-1]`` and ``self._clock.now_ns``
+  directly rather than through properties; step tags are precomputed.
 """
 
 from __future__ import annotations
 
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import Any, Optional
 
 from repro.errors import (Errno, InterruptedSleep, SimulationError,
                           SyscallError)
 from repro.hw import isa
 from repro.hw.context import Activity, Mode
+from repro.hw.memory import page_of
 from repro.sim.events import Event
 
 
@@ -99,12 +105,16 @@ class CPU:
         self.lwp = None  # currently running LWP
         self._step_event = None
         self._step_tag = f"cpu-{index}.step"
-        # Hot-path caches: the step event is (re)scheduled once per
-        # effect, so the queue, clock, and the bound _step are resolved
-        # here rather than per call.
+        # Hot-path caches: the next step is scheduled once per effect,
+        # so the queue, clock, and the bound step loop are resolved here
+        # rather than per call.
         self._queue = engine.queue
         self._clock = engine.clock
-        self._step_fn = self._step
+        self._step_fn = self._run_steps
+        # While the step loop runs (_in_loop), _schedule_step parks the
+        # next step's reserved (time_ns, seq) here instead of queueing it.
+        self._in_loop = False
+        self._next_step: Optional[tuple] = None
         self._charge_end_ns: Optional[int] = None
         # Virtual time the current LWP was assigned.  Feeds both the
         # metrics (per-class / per-LWP on-CPU accounting) and the
@@ -140,9 +150,9 @@ class CPU:
         lwp.cpu = self
         self.dispatch_count += 1
         self._preempt_pending = False
-        self._oncpu_since = self.engine.now_ns
+        self._oncpu_since = self._clock.now_ns
         if self.tracer.want_sched:
-            self.tracer.emit(self.engine.now_ns, "sched", "dispatch",
+            self.tracer.emit(self._clock.now_ns, "sched", "dispatch",
                              lwp.name, cpu=self.name)
         # Dispatch latency: run-queue removal, context load, cache warmup.
         self._account(self.costs.kernel_dispatch, kernel=True)
@@ -154,7 +164,7 @@ class CPU:
         if lwp is not None:
             lwp.cpu = None
             if self._oncpu_since is not None:
-                span = self.engine.now_ns - self._oncpu_since
+                span = self._clock.now_ns - self._oncpu_since
                 m = self.engine.metrics
                 if m is not None:
                     m.observe(f"sched.oncpu_ns.{lwp.sched_class.value}",
@@ -181,7 +191,7 @@ class CPU:
         activity = self.lwp.current_activity
         if (self._charge_end_ns is not None and activity is not None
                 and not activity.in_kernel):
-            remaining = self._charge_end_ns - self.engine.now_ns
+            remaining = self._charge_end_ns - self._clock.now_ns
             if remaining > 0:
                 # The charge was accounted in full when it started; hand the
                 # unused remainder back and re-charge it when the LWP next
@@ -199,24 +209,35 @@ class CPU:
     # ------------------------------------------------------------ stepping
 
     def _schedule_step(self, delay_ns: int) -> None:
-        # Inlined EventQueue.push: this runs once per simulated effect,
-        # and the call layer itself was measurable.  delay_ns comes from
-        # the cost model (validated non-negative at Charge construction).
-        ev = self._step_event
+        # Runs once per simulated effect.  The seq is reserved here
+        # whether or not the step is queued, so a step the loop runs in
+        # place keeps the exact (time, seq) place a queued one would
+        # have.  delay_ns comes from the cost model (validated
+        # non-negative at Charge construction).
         q = self._queue
+        t = self._clock.now_ns + delay_ns
+        seq = q._seq
+        q._seq = seq + 1
+        if self._in_loop:
+            self._next_step = (t, seq)
+            return
+        ev = self._step_event
         if ev is not None and not ev.cancelled:
             ev.cancelled = True
             if q._live > 0:
                 q._live -= 1
-        t = self._clock.now_ns + delay_ns
-        seq = q._seq
-        q._seq = seq + 1
+        self._push_step(t, seq)
+
+    def _push_step(self, t: int, seq: int) -> None:
+        # Inlined EventQueue.push under an already reserved seq.
+        q = self._queue
         q._live += 1
         ev = Event(t, seq, self._step_fn, self._step_tag)
         heappush(q._heap, (t, seq, ev))
         self._step_event = ev
 
     def _cancel_step(self) -> None:
+        self._next_step = None
         if self._step_event is not None:
             self.engine.cancel(self._step_event)
             self._step_event = None
@@ -230,9 +251,48 @@ class CPU:
         if self.lwp is not None:
             self.lwp.account(ns, kernel=kernel)
 
+    def _run_steps(self) -> None:
+        """The step loop: what every step ``Event`` fires.
+
+        Runs :meth:`_step`, then keeps running this CPU's next step in
+        place while it sorts strictly before the first live queued entry
+        in ``(time, seq)`` order -- the entry the engine would otherwise
+        pop next -- and within the run's ``until_ns`` and ``max_events``.
+        Each inline step advances the clock and counts as a fired event
+        exactly as a popped one would.  Otherwise the step is pushed
+        under its reserved seq, as if it had never been held back.
+        """
+        engine = self.engine
+        until_ns = engine._until_ns
+        max_events = engine._max_events
+        clock = self._clock
+        heap = self._queue._heap
+        step = self._step
+        self._step_event = None
+        self._in_loop = True
+        try:
+            step()
+            while True:
+                nxt = self._next_step
+                if nxt is None or engine._fired >= max_events:
+                    return
+                while heap and heap[0][2].cancelled:
+                    heappop(heap)
+                if (heap and heap[0] < nxt) or nxt[0] > until_ns:
+                    return
+                self._next_step = None
+                clock.now_ns = nxt[0]
+                engine._fired += 1
+                step()
+        finally:
+            self._in_loop = False
+            nxt = self._next_step
+            if nxt is not None:
+                self._next_step = None
+                self._push_step(*nxt)
+
     def _step(self) -> None:
         """Execute one effect of the current activity."""
-        self._step_event = None
         self._charge_end_ns = None
         lwp = self.lwp
         if lwp is None:  # raced with preemption/block; nothing to do
@@ -240,9 +300,10 @@ class CPU:
         activity = lwp.current_activity
         if activity is None:
             raise SimulationError(f"{lwp!r} dispatched with no activity")
+        frame = activity.frames[-1]
 
         # Honor a preemption requested while we were mid-effect.
-        if self._preempt_pending and not activity.in_kernel:
+        if self._preempt_pending and frame.mode is not Mode.KERNEL:
             self._preempt_pending = False
             self.release()
             self.kernel.dispatcher.on_preempted(lwp)
@@ -252,10 +313,9 @@ class CPU:
         if activity.pending_charge_ns > 0:
             ns = activity.pending_charge_ns
             activity.pending_charge_ns = 0
-            self._charge(ns, activity.in_kernel)
+            self._charge(lwp, activity, isa.Charge(ns))
             return
 
-        frame = activity.top
         activity.started = True
         # While the generator is live on the Python stack, nobody may
         # push frames onto this activity (kernel signal delivery checks
@@ -282,20 +342,26 @@ class CPU:
             self._stepping_activity = None
             engine.stepping_cpu = None
 
-        self._interpret(lwp, activity, effect)
-
-    # ----------------------------------------------------- effect handling
-
-    def _interpret(self, lwp, activity: Activity, effect) -> None:
-        """Type-keyed effect dispatch (the table lives at class scope)."""
+        # Type-keyed effect dispatch (the table lives at module scope).
         handler = _DISPATCH.get(effect.__class__)
         if handler is None:
             handler = _resolve_effect_handler(effect)
         handler(self, lwp, activity, effect)
 
-    def _do_charge(self, lwp, activity: Activity,
-                   effect: "isa.Charge") -> None:
-        self._charge(effect.ns, activity.in_kernel)
+    # ----------------------------------------------------- effect handling
+
+    def _charge(self, lwp, activity: Activity, effect: "isa.Charge") -> None:
+        """Consume CPU time in the current mode, then step again.
+
+        The full amount is accounted up front; if the charge is preempted,
+        :meth:`request_preempt` refunds the unused remainder.
+        """
+        ns = effect.ns
+        kernel = activity.frames[-1].mode is Mode.KERNEL
+        self._account(ns, kernel=kernel)
+        if ns > 0 and not kernel:
+            self._charge_end_ns = self._clock.now_ns + ns
+        self._schedule_step(ns)
 
     def _do_get_context(self, lwp, activity: Activity, effect) -> None:
         activity.set_resume(ExecContext(self, lwp))
@@ -309,17 +375,6 @@ class CPU:
         activity.set_resume(None)
         self._charge_then_step(self.costs.longjmp, activity.in_kernel)
 
-    def _charge(self, ns: int, kernel: bool) -> None:
-        """Consume CPU time, then step again.
-
-        The full amount is accounted up front; if the charge is preempted,
-        :meth:`request_preempt` refunds the unused remainder.
-        """
-        self._account(ns, kernel=kernel)
-        if ns > 0 and not kernel:
-            self._charge_end_ns = self.engine.now_ns + ns
-        self._schedule_step(ns)
-
     def _charge_then_step(self, ns: int, kernel: bool) -> None:
         self._account(ns, kernel=kernel)
         self._schedule_step(ns)
@@ -328,14 +383,14 @@ class CPU:
                       effect: "isa.Syscall") -> None:
         """Trap: charge entry cost and push the handler frame."""
         if self.tracer.want_syscall:
-            self.tracer.emit(self.engine.now_ns, "syscall", "enter",
+            self.tracer.emit(self._clock.now_ns, "syscall", "enter",
                              lwp.name, call=effect.name)
         self.kernel.note_syscall(lwp, effect.name)
         handler = self.kernel.syscall_handler(
             ExecContext(self, lwp), effect.name, effect.args, effect.kwargs)
         activity.push(handler, Mode.KERNEL, label=f"sys_{effect.name}")
         if self.engine.metrics is not None:
-            activity.top.enter_ns = self.engine.now_ns
+            activity.frames[-1].enter_ns = self._clock.now_ns
         activity.set_resume(None)
         self._account(self.costs.syscall_entry, kernel=True)
         self._schedule_step(self.costs.syscall_entry)
@@ -348,14 +403,13 @@ class CPU:
             raise SimulationError(
                 f"switch to finished activity {target.name}")
         if self.tracer.want_thread:
-            self.tracer.emit(self.engine.now_ns, "thread", "switch",
+            self.tracer.emit(self._clock.now_ns, "thread", "switch",
                              lwp.name, frm=activity.name, to=target.name)
         lwp.current_activity = target
         self._account(self.costs.thread_switch_user, kernel=False)
         self._schedule_step(self.costs.thread_switch_user)
 
     def _touch(self, lwp, activity: Activity, effect: "isa.Touch") -> None:
-        from repro.hw.memory import page_of
         pageno = page_of(effect.offset)
         if effect.mobj.is_resident(pageno):
             activity.set_resume(None)
@@ -363,13 +417,13 @@ class CPU:
             return
         # Page fault: synchronous kernel entry on this LWP only.
         if self.tracer.want_vm:
-            self.tracer.emit(self.engine.now_ns, "vm", "fault",
+            self.tracer.emit(self._clock.now_ns, "vm", "fault",
                              lwp.name, obj=effect.mobj.name, page=pageno)
         handler = self.kernel.page_fault_handler(
             ExecContext(self, lwp), effect.mobj, pageno, effect.write)
         activity.push(handler, Mode.KERNEL, label="pagefault")
         if self.engine.metrics is not None:
-            activity.top.enter_ns = self.engine.now_ns
+            activity.frames[-1].enter_ns = self._clock.now_ns
         activity.set_resume(None)
         self._account(self.costs.trap_entry, kernel=True)
         self._schedule_step(self.costs.trap_entry)
@@ -386,7 +440,7 @@ class CPU:
         if self.tracer.want_sched:
             # Uniform channel-name protocol: WaitChannel and ChannelSet
             # both carry .name.
-            self.tracer.emit(self.engine.now_ns, "sched", "block",
+            self.tracer.emit(self._clock.now_ns, "sched", "block",
                              lwp.name, chan=isa.channel_name(effect.channel))
         self._account(self.costs.kernel_block, kernel=True)
         self.release()
@@ -411,18 +465,18 @@ class CPU:
                 self._account(self.costs.signal_return, kernel=False)
                 self._schedule_step(self.costs.signal_return)
                 return
-            below = activity.top
+            below = activity.frames[-1]
             if frame.mode is Mode.KERNEL and below.mode is Mode.USER:
                 # Returning from a system call (or fault): charge the exit
                 # path and let the kernel deliver any pending signals.
                 if self.tracer.want_syscall:
                     self.tracer.emit(
-                        self.engine.now_ns, "syscall", "exit", lwp.name,
+                        self._clock.now_ns, "syscall", "exit", lwp.name,
                         call=frame.label, ret=_brief(value))
                 m = self.engine.metrics
                 if m is not None and frame.enter_ns is not None:
                     m.observe(_latency_key(frame.label),
-                              self.engine.now_ns - frame.enter_ns)
+                              self._clock.now_ns - frame.enter_ns)
                 activity.set_resume(value)
                 self._account(self.costs.syscall_exit, kernel=True)
                 self.kernel.kernel_exit_check(ExecContext(self, lwp))
@@ -458,17 +512,17 @@ class CPU:
                 # Injected frame died; still re-apply what it displaced?
                 # No: the handler's failure takes precedence.
                 pass
-            below = activity.top
+            below = activity.frames[-1]
             if frame.mode is Mode.KERNEL and below.mode is Mode.USER:
                 if self.tracer.want_syscall:
                     self.tracer.emit(
-                        self.engine.now_ns, "syscall", "error", lwp.name,
+                        self._clock.now_ns, "syscall", "error", lwp.name,
                         call=frame.label, err=str(exc))
                 m = self.engine.metrics
                 if m is not None:
                     if frame.enter_ns is not None:
                         m.observe(_latency_key(frame.label),
-                                  self.engine.now_ns - frame.enter_ns)
+                                  self._clock.now_ns - frame.enter_ns)
                     if isinstance(exc, SyscallError):
                         call = frame.label[4:] if frame.label.startswith(
                             "sys_") else frame.label
@@ -507,11 +561,6 @@ class CPU:
         activity.top.saved_resume = saved
         self._account(self.costs.signal_deliver, kernel=False)
 
-    def throw_into(self, exc: BaseException) -> None:
-        """Arrange for ``exc`` to be thrown at the next step (signal path)."""
-        if self.lwp is not None and self.lwp.current_activity is not None:
-            self.lwp.current_activity.set_resume_exc(exc)
-
     def __repr__(self) -> str:
         running = self.lwp.name if self.lwp else "idle"
         return f"<CPU {self.index}: {running}>"
@@ -520,7 +569,7 @@ class CPU:
 #: The type-keyed effect dispatch table: effect class -> unbound CPU
 #: method.  Shared by all CPUs; exact-type hits are one dict lookup.
 _DISPATCH = {
-    isa.Charge: CPU._do_charge,
+    isa.Charge: CPU._charge,
     isa.Syscall: CPU._enter_kernel,
     isa.SwitchTo: CPU._switch_thread,
     isa.GetContext: CPU._do_get_context,

@@ -11,6 +11,7 @@ by the machine, which can inspect kernel state when the event queue drains.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Optional
 
 from repro.errors import DeadlockError, SimulationError
@@ -36,6 +37,13 @@ class Engine:
         self.rng = DeterministicRNG(seed)
         self._running = False
         self._events_fired = 0
+        # State of the run() in progress, shared with the CPUs' step
+        # loops (CPU._run_steps), which fire steps in place and must
+        # count them here and honour the same limits: events fired so
+        # far, the until_ns horizon, and the max_events cap.
+        self._fired = 0
+        self._until_ns = inf
+        self._max_events = inf
         # Hook returning a human-readable description of blocked entities,
         # or None when being idle is legitimate.  Installed by the machine.
         self.idle_check: Optional[Callable[[], Optional[str]]] = None
@@ -124,9 +132,13 @@ class Engine:
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
-        fired = 0
-        # Hot loop: hoist bound methods so each iteration is local loads
-        # only (the loop body runs once per simulated effect).
+        self._fired = 0
+        self._until_ns = inf if until_ns is None else until_ns
+        self._max_events = limit = inf if max_events is None else max_events
+        # Hot loop: bound methods are hoisted.  The count lives on self
+        # because a CPU's step loop adds to it: most steps never come
+        # through here, running in place while they precede every
+        # queued event.
         pop_next = self.queue.pop_next
         advance_to = self.clock.advance_to
         try:
@@ -146,18 +158,22 @@ class Engine:
                             raise DeadlockError(complaint)
                     break
                 advance_to(next_time)
-                ev.fn()
-                fired += 1
-                if max_events is not None and fired >= max_events:
-                    self._events_fired += fired
-                    fired = 0
+                # An event counts as it fires; one whose callback raises
+                # is taken back, so only completed events are counted.
+                self._fired += 1
+                try:
+                    ev.fn()
+                except BaseException:
+                    self._fired -= 1
+                    raise
+                if self._fired >= limit:
                     raise SimulationError(
                         f"max_events={max_events} exhausted at "
                         f"t={self.now_usec:.1f}us; runaway simulation?")
         finally:
             self._running = False
-            self._events_fired += fired
-        return fired
+            self._events_fired += self._fired
+        return self._fired
 
     def diagnose_hang(self) -> str:
         """Render the wait-for graph of everything currently blocked.

@@ -83,6 +83,48 @@ class TestRunLimits:
         with pytest.raises(SimulationError, match="max_events"):
             eng.run(max_events=100)
 
+    def test_max_events_fires_exactly_that_many(self):
+        eng = Engine()
+
+        def rearm():
+            eng.call_after(1, rearm)
+
+        eng.call_after(1, rearm)
+        with pytest.raises(SimulationError,
+                           match=r"max_events=100 exhausted at t=0\.1us"):
+            eng.run(max_events=100)
+        assert eng.events_fired == 100
+        assert eng.now_ns == 100
+
+    def test_until_then_run_equals_one_run(self):
+        def schedule(eng, seen):
+            for t in (5, 10, 10, 40, 90):
+                eng.call_at(t, lambda t=t: seen.append((t, eng.now_ns)))
+
+        one, seen_one = Engine(), []
+        schedule(one, seen_one)
+        fired_one = one.run()
+        split, seen_split = Engine(), []
+        schedule(split, seen_split)
+        fired_split = split.run(until_ns=10) + split.run(until_ns=39)
+        assert split.now_ns == 39
+        fired_split += split.run()
+        assert seen_split == seen_one
+        assert fired_split == fired_one == split.events_fired == 5
+        assert split.now_ns == one.now_ns == 90
+
+    def test_event_that_raises_is_not_counted(self):
+        eng = Engine()
+        eng.call_after(1, lambda: None)
+
+        def boom():
+            raise RuntimeError("boom")
+
+        eng.call_after(2, boom)
+        with pytest.raises(RuntimeError):
+            eng.run()
+        assert eng.events_fired == 1
+
     def test_engine_not_reentrant(self):
         eng = Engine()
 
