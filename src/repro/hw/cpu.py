@@ -38,19 +38,36 @@ they obey the hot-path rules of ARCHITECTURE §10:
   argument is built, so a disabled tracer costs one attribute check.
 * Hot handlers read ``activity.frames[-1]`` and ``self._clock.now_ns``
   directly rather than through properties; step tags are precomputed.
+* *Accounting fast path.*  Every charge goes through :meth:`CPU._account`,
+  which adds to the CPU and LWP counters in place.  The CPU-time
+  watchers (``ITIMER_VIRTUAL``/``ITIMER_PROF``, a ``profil`` buffer,
+  ``RLIMIT_CPU``) run in :meth:`Lwp.watch <repro.kernel.lwp.Lwp.watch>`
+  only when the LWP's own state shows one armed right now; nothing
+  caches that answer.
+* *One* :class:`ExecContext` *per dispatch*, built in :meth:`CPU.assign`
+  and dropped in :meth:`CPU.release`; ``GetContext``, syscall entry and
+  exit all hand out that one.
+* Syscall entry builds its kernel ``Frame`` in place; frame labels and
+  latency metric names are memoized per name, and counters and
+  histograms come from the registry's pre-resolved families.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from heapq import heappop, heappush
 from typing import Any, Optional
 
 from repro.errors import (Errno, InterruptedSleep, SimulationError,
                           SyscallError)
 from repro.hw import isa
-from repro.hw.context import Activity, Mode
+from repro.hw.context import Activity, Frame, Mode
 from repro.hw.memory import page_of
 from repro.sim.events import Event
+
+
+_KERNEL = Mode.KERNEL
+_USER = Mode.USER
 
 
 class ExecContext:
@@ -60,21 +77,20 @@ class ExecContext:
     :class:`~repro.hw.isa.GetContext` effect.  User library code uses it to
     reach the per-process threads runtime; kernel code uses it to reach the
     LWP and process structures.
+
+    A CPU builds one per dispatch (:meth:`CPU.assign`).  ``engine``,
+    ``kernel`` and ``costs`` are copied from the CPU once, as plain
+    slots; ``thread`` and ``process`` are read live from the LWP.
     """
 
-    __slots__ = ("cpu", "lwp")
+    __slots__ = ("cpu", "lwp", "engine", "kernel", "costs")
 
     def __init__(self, cpu: "CPU", lwp):
         self.cpu = cpu
         self.lwp = lwp
-
-    @property
-    def engine(self):
-        return self.cpu.engine
-
-    @property
-    def kernel(self):
-        return self.cpu.kernel
+        self.engine = cpu.engine
+        self.kernel = cpu.kernel
+        self.costs = cpu.costs
 
     @property
     def process(self):
@@ -84,10 +100,6 @@ class ExecContext:
     def thread(self):
         """The user thread currently on this LWP (None in pure-LWP code)."""
         return self.lwp.current_thread
-
-    @property
-    def costs(self):
-        return self.cpu.costs
 
     def __repr__(self) -> str:
         return f"<ExecContext cpu={self.cpu.index} lwp={self.lwp!r}>"
@@ -103,6 +115,7 @@ class CPU:
         self.tracer = engine.tracer
         self.kernel = None  # installed by the machine
         self.lwp = None  # currently running LWP
+        self._ctx: Optional[ExecContext] = None  # its ExecContext
         self._step_event = None
         self._step_tag = f"cpu-{index}.step"
         # Hot-path caches: the next step is scheduled once per effect,
@@ -126,7 +139,6 @@ class CPU:
         self._stepping_activity = None
         self._preempt_pending = False
         # Accounting.
-        self.busy_ns = 0
         self.user_ns = 0
         self.kernel_ns = 0
         self.dispatch_count = 0
@@ -139,6 +151,10 @@ class CPU:
     def idle(self) -> bool:
         return self.lwp is None
 
+    @property
+    def busy_ns(self) -> int:
+        return self.user_ns + self.kernel_ns
+
     # ------------------------------------------------------------ dispatch
 
     def assign(self, lwp) -> None:
@@ -148,6 +164,7 @@ class CPU:
                 f"{self.name} already running {self.lwp!r}")
         self.lwp = lwp
         lwp.cpu = self
+        self._ctx = ExecContext(self, lwp)
         self.dispatch_count += 1
         self._preempt_pending = False
         self._oncpu_since = self._clock.now_ns
@@ -155,7 +172,7 @@ class CPU:
             self.tracer.emit(self._clock.now_ns, "sched", "dispatch",
                              lwp.name, cpu=self.name)
         # Dispatch latency: run-queue removal, context load, cache warmup.
-        self._account(self.costs.kernel_dispatch, kernel=True)
+        self._account(lwp, self.costs.kernel_dispatch, True)
         self._schedule_step(self.costs.kernel_dispatch)
 
     def release(self) -> None:
@@ -167,15 +184,17 @@ class CPU:
                 span = self._clock.now_ns - self._oncpu_since
                 m = self.engine.metrics
                 if m is not None:
-                    m.observe(f"sched.oncpu_ns.{lwp.sched_class.value}",
-                              span)
-                    m.count(f"sched.oncpu_ns_by_lwp.{lwp.name}", span)
+                    m.histogram_families["sched.oncpu_ns"][
+                        lwp.sched_class.value].observe(span)
+                    m.counter_families["sched.oncpu_ns_by_lwp"][
+                        lwp.name].value += span
                 if self.kernel is not None:
                     # Policy span bookkeeping (CFS vruntime, SJF burst
                     # estimate) — pure accounting, schedules nothing.
                     self.kernel.dispatcher.on_offcpu(lwp, span)
         self._oncpu_since = None
         self.lwp = None
+        self._ctx = None
         self._cancel_step()
 
     def request_preempt(self) -> None:
@@ -197,7 +216,7 @@ class CPU:
                 # unused remainder back and re-charge it when the LWP next
                 # runs.
                 activity.pending_charge_ns += remaining
-                self._account(-remaining, kernel=False)
+                self._account(self.lwp, -remaining, False)
             self._cancel_step()
             self._charge_end_ns = None
             lwp = self.lwp
@@ -236,20 +255,48 @@ class CPU:
         heappush(q._heap, (t, seq, ev))
         self._step_event = ev
 
+    def _context(self, lwp) -> ExecContext:
+        """The dispatch's ExecContext for ``lwp``.
+
+        A step can outlive its dispatch (the process exited under it, so
+        this CPU was released and perhaps given another LWP); the effect
+        it yielded still runs for its own LWP, so it gets a fresh one.
+        """
+        if self.lwp is lwp:
+            return self._ctx
+        return ExecContext(self, lwp)
+
     def _cancel_step(self) -> None:
         self._next_step = None
         if self._step_event is not None:
             self.engine.cancel(self._step_event)
             self._step_event = None
 
-    def _account(self, ns: int, kernel: bool = False) -> None:
-        self.busy_ns += ns
+    def _account(self, lwp, ns: int, kernel: bool) -> None:
+        """Charge ``ns`` of user or kernel time: every charge comes here.
+
+        The CPU is always charged; ``lwp`` only while it holds this CPU.
+        A step can outlive its dispatch (its process exited under it, so
+        the CPU was released and perhaps given another LWP): that time
+        is the CPU's and no LWP's, so no watcher of a dead or unrelated
+        LWP sees it.  The LWP's CPU-time watchers (:meth:`Lwp.watch`)
+        run only when its interval timers, profiling state or process
+        ``RLIMIT_CPU`` show one armed, read afresh on every charge.
+        """
         if kernel:
             self.kernel_ns += ns
         else:
             self.user_ns += ns
-        if self.lwp is not None:
-            self.lwp.account(ns, kernel=kernel)
+        if lwp is None or lwp is not self.lwp:
+            return
+        if kernel:
+            lwp.system_ns += ns
+        else:
+            lwp.user_ns += ns
+        if (lwp.vtimer_remaining_ns or lwp.ptimer_remaining_ns
+                or lwp.profiling is not None
+                or lwp.process.rlimits.cpu_ns is not None):
+            lwp.watch(ns, kernel)
 
     def _run_steps(self) -> None:
         """The step loop: what every step ``Event`` fires.
@@ -303,7 +350,7 @@ class CPU:
         frame = activity.frames[-1]
 
         # Honor a preemption requested while we were mid-effect.
-        if self._preempt_pending and frame.mode is not Mode.KERNEL:
+        if self._preempt_pending and frame.mode is not _KERNEL:
             self._preempt_pending = False
             self.release()
             self.kernel.dispatcher.on_preempted(lwp)
@@ -357,43 +404,47 @@ class CPU:
         :meth:`request_preempt` refunds the unused remainder.
         """
         ns = effect.ns
-        kernel = activity.frames[-1].mode is Mode.KERNEL
-        self._account(ns, kernel=kernel)
+        kernel = activity.frames[-1].mode is _KERNEL
+        self._account(lwp, ns, kernel)
         if ns > 0 and not kernel:
             self._charge_end_ns = self._clock.now_ns + ns
         self._schedule_step(ns)
 
     def _do_get_context(self, lwp, activity: Activity, effect) -> None:
-        activity.set_resume(ExecContext(self, lwp))
+        activity.resume_value = self._context(lwp)
+        activity.resume_exc = None
         self._schedule_step(0)
 
     def _do_setjmp(self, lwp, activity: Activity, effect) -> None:
         activity.set_resume(object())  # opaque jump-buffer token
-        self._charge_then_step(self.costs.setjmp, activity.in_kernel)
+        self._charge_then_step(lwp, self.costs.setjmp, activity.in_kernel)
 
     def _do_longjmp(self, lwp, activity: Activity, effect) -> None:
         activity.set_resume(None)
-        self._charge_then_step(self.costs.longjmp, activity.in_kernel)
+        self._charge_then_step(lwp, self.costs.longjmp, activity.in_kernel)
 
-    def _charge_then_step(self, ns: int, kernel: bool) -> None:
-        self._account(ns, kernel=kernel)
+    def _charge_then_step(self, lwp, ns: int, kernel: bool) -> None:
+        self._account(lwp, ns, kernel)
         self._schedule_step(ns)
 
     def _enter_kernel(self, lwp, activity: Activity,
                       effect: "isa.Syscall") -> None:
         """Trap: charge entry cost and push the handler frame."""
+        name = effect.name
+        kernel = self.kernel
         if self.tracer.want_syscall:
             self.tracer.emit(self._clock.now_ns, "syscall", "enter",
-                             lwp.name, call=effect.name)
-        self.kernel.note_syscall(lwp, effect.name)
-        handler = self.kernel.syscall_handler(
-            ExecContext(self, lwp), effect.name, effect.args, effect.kwargs)
-        activity.push(handler, Mode.KERNEL, label=f"sys_{effect.name}")
+                             lwp.name, call=name)
+        kernel.note_syscall(lwp, name)
+        frame = Frame(kernel.syscall_handler(self._context(lwp), name,
+                                             effect.args, effect.kwargs),
+                      _KERNEL, _sys_label(name))
+        activity.frames.append(frame)
         if self.engine.metrics is not None:
-            activity.frames[-1].enter_ns = self._clock.now_ns
-        activity.set_resume(None)
-        self._account(self.costs.syscall_entry, kernel=True)
-        self._schedule_step(self.costs.syscall_entry)
+            frame.enter_ns = self._clock.now_ns
+        activity.resume_value = None
+        activity.resume_exc = None
+        self._charge_then_step(lwp, self.costs.syscall_entry, True)
 
     def _switch_thread(self, lwp, activity: Activity,
                        effect: "isa.SwitchTo") -> None:
@@ -406,8 +457,7 @@ class CPU:
             self.tracer.emit(self._clock.now_ns, "thread", "switch",
                              lwp.name, frm=activity.name, to=target.name)
         lwp.current_activity = target
-        self._account(self.costs.thread_switch_user, kernel=False)
-        self._schedule_step(self.costs.thread_switch_user)
+        self._charge_then_step(lwp, self.costs.thread_switch_user, False)
 
     def _touch(self, lwp, activity: Activity, effect: "isa.Touch") -> None:
         pageno = page_of(effect.offset)
@@ -420,12 +470,12 @@ class CPU:
             self.tracer.emit(self._clock.now_ns, "vm", "fault",
                              lwp.name, obj=effect.mobj.name, page=pageno)
         handler = self.kernel.page_fault_handler(
-            ExecContext(self, lwp), effect.mobj, pageno, effect.write)
-        activity.push(handler, Mode.KERNEL, label="pagefault")
+            self._context(lwp), effect.mobj, pageno, effect.write)
+        activity.push(handler, _KERNEL, label="pagefault")
         if self.engine.metrics is not None:
             activity.frames[-1].enter_ns = self._clock.now_ns
         activity.set_resume(None)
-        self._account(self.costs.trap_entry, kernel=True)
+        self._account(lwp, self.costs.trap_entry, True)
         self._schedule_step(self.costs.trap_entry)
 
     def _block(self, lwp, activity: Activity, effect: "isa.Block") -> None:
@@ -442,7 +492,7 @@ class CPU:
             # both carry .name.
             self.tracer.emit(self._clock.now_ns, "sched", "block",
                              lwp.name, chan=isa.channel_name(effect.channel))
-        self._account(self.costs.kernel_block, kernel=True)
+        self._account(lwp, self.costs.kernel_block, True)
         self.release()
         self.kernel.block_lwp(lwp, effect.channel,
                               interruptible=effect.interruptible,
@@ -452,7 +502,7 @@ class CPU:
     # ------------------------------------------------------- frame returns
 
     def _frame_returned(self, lwp, activity: Activity, value: Any) -> None:
-        frame = activity.pop()
+        frame = activity.frames.pop()
         if activity.frames:
             if frame.saved_resume is not None:
                 # An injected frame (signal handler) finished: re-apply the
@@ -462,11 +512,12 @@ class CPU:
                     activity.set_resume_exc(payload)
                 else:
                     activity.set_resume(payload)
-                self._account(self.costs.signal_return, kernel=False)
+                self._account(lwp, self.costs.signal_return, False)
                 self._schedule_step(self.costs.signal_return)
                 return
-            below = activity.frames[-1]
-            if frame.mode is Mode.KERNEL and below.mode is Mode.USER:
+            activity.resume_value = value
+            activity.resume_exc = None
+            if frame.mode is _KERNEL and activity.frames[-1].mode is _USER:
                 # Returning from a system call (or fault): charge the exit
                 # path and let the kernel deliver any pending signals.
                 if self.tracer.want_syscall:
@@ -475,22 +526,23 @@ class CPU:
                         call=frame.label, ret=_brief(value))
                 m = self.engine.metrics
                 if m is not None and frame.enter_ns is not None:
-                    m.observe(_latency_key(frame.label),
-                              self._clock.now_ns - frame.enter_ns)
-                activity.set_resume(value)
-                self._account(self.costs.syscall_exit, kernel=True)
-                self.kernel.kernel_exit_check(ExecContext(self, lwp))
-                self._schedule_step(self.costs.syscall_exit)
+                    family, key = _latency_metric(frame.label)
+                    m.histogram_families[family][key].observe(
+                        self._clock.now_ns - frame.enter_ns)
+                ns = self.costs.syscall_exit
+                self._account(lwp, ns, True)
+                if lwp.pending or lwp.process.signals.pending:
+                    self.kernel.kernel_exit_check(self._context(lwp))
+                self._schedule_step(ns)
             else:
-                activity.set_resume(value)
                 self._schedule_step(0)
             return
 
         # Bottom frame returned: the activity's body is done.
         if activity.on_return is not None:
-            follow_on = activity.on_return(ExecContext(self, lwp), value)
+            follow_on = activity.on_return(self._context(lwp), value)
             if follow_on is not None:
-                activity.push(follow_on, Mode.USER, label="on_return")
+                activity.push(follow_on, _USER, label="on_return")
                 activity.set_resume(None)
                 self._schedule_step(0)
                 return
@@ -503,7 +555,7 @@ class CPU:
     def _frame_raised(self, lwp, activity: Activity,
                       exc: BaseException) -> None:
         """An exception propagated out of the top frame."""
-        frame = activity.pop()
+        frame = activity.frames.pop()
         if isinstance(exc, InterruptedSleep):
             # Only meaningful across the kernel/user boundary.
             exc = SyscallError(Errno.EINTR, frame.label, "interrupted")
@@ -513,7 +565,7 @@ class CPU:
                 # No: the handler's failure takes precedence.
                 pass
             below = activity.frames[-1]
-            if frame.mode is Mode.KERNEL and below.mode is Mode.USER:
+            if frame.mode is _KERNEL and below.mode is _USER:
                 if self.tracer.want_syscall:
                     self.tracer.emit(
                         self._clock.now_ns, "syscall", "error", lwp.name,
@@ -521,15 +573,16 @@ class CPU:
                 m = self.engine.metrics
                 if m is not None:
                     if frame.enter_ns is not None:
-                        m.observe(_latency_key(frame.label),
-                                  self._clock.now_ns - frame.enter_ns)
+                        family, key = _latency_metric(frame.label)
+                        m.histogram_families[family][key].observe(
+                            self._clock.now_ns - frame.enter_ns)
                     if isinstance(exc, SyscallError):
                         call = frame.label[4:] if frame.label.startswith(
                             "sys_") else frame.label
                         m.count(f"syscall.errno.{call}.{exc.errno.name}")
                 activity.set_resume_exc(exc)
-                self._account(self.costs.syscall_exit, kernel=True)
-                self.kernel.kernel_exit_check(ExecContext(self, lwp))
+                self._account(lwp, self.costs.syscall_exit, True)
+                self.kernel.kernel_exit_check(self._context(lwp))
                 self._schedule_step(self.costs.syscall_exit)
             else:
                 activity.set_resume_exc(exc)
@@ -557,9 +610,9 @@ class CPU:
             saved = ("value", activity.resume_value)
         activity.resume_exc = None
         activity.resume_value = None
-        activity.push(gen, Mode.USER, label=label)
+        activity.push(gen, _USER, label=label)
         activity.top.saved_resume = saved
-        self._account(self.costs.signal_deliver, kernel=False)
+        self._account(self.lwp, self.costs.signal_deliver, False)
 
     def __repr__(self) -> str:
         running = self.lwp.name if self.lwp else "idle"
@@ -597,10 +650,18 @@ def _brief(value: Any) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _latency_key(frame_label: str) -> str:
-    """Metric name for a kernel frame's entry-to-return latency."""
+@cache
+def _sys_label(name: str) -> str:
+    """The kernel frame label of a syscall."""
+    return f"sys_{name}"
+
+
+@cache
+def _latency_metric(frame_label: str) -> tuple:
+    """Histogram of a kernel frame's entry-to-return latency, as a
+    registry family and key: the metric is named ``<family>.<key>``."""
     if frame_label.startswith("sys_"):
-        return f"syscall.latency_ns.{frame_label[4:]}"
+        return "syscall.latency_ns", frame_label[4:]
     if frame_label == "pagefault":
-        return "vm.pagefault_latency_ns"
-    return f"kernel.latency_ns.{frame_label}"
+        return "vm", "pagefault_latency_ns"
+    return "kernel.latency_ns", frame_label

@@ -334,8 +334,3 @@ class ProcDirectory(Directory):
                 f"{l.priority}"
                 for l in proc.live_lwps()).encode() + b"\n"))
         return pid_dir
-
-    @property
-    def entries_live(self) -> dict:  # pragma: no cover - debug aid
-        kernel = self._kernel_ref()
-        return {str(p): None for p in (kernel.processes if kernel else ())}

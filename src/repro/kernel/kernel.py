@@ -225,7 +225,7 @@ class Kernel:
         self.syscall_counts[name] += 1
         m = self.engine.metrics
         if m is not None:
-            m.count(f"syscall.count.{name}")
+            m.counter_families["syscall.count"][name].value += 1
 
     # ------------------------------------------------------ block / wakeup
 

@@ -156,17 +156,21 @@ class Lwp:
 
     # --------------------------------------------------------- accounting
 
-    def account(self, ns: int, kernel: bool = False) -> None:
-        """Charge CPU time to this LWP (called by the CPU executor).
+    def watch(self, ns: int, kernel: bool) -> None:
+        """The CPU-time watchers, for a charge of ``ns`` already counted.
 
-        Also decrements the per-LWP interval timers; expiry is detected by
-        the timer module's periodic check rather than here, to keep this
-        hot path cheap.
+        The CPU adds ``ns`` to ``user_ns`` or ``system_ns`` itself and
+        calls this only when ``vtimer_remaining_ns``,
+        ``ptimer_remaining_ns``, ``profiling`` or the process's
+        ``rlimits.cpu_ns`` shows a watcher armed.
+
+        Decrements the interval timers (``ITIMER_VIRTUAL`` in user time
+        only, ``ITIMER_PROF`` in both) and signals the one that runs out,
+        feeds the profiling buffer user time, and checks the process's
+        ``RLIMIT_CPU``.  Each watcher tests its own state, so a call with
+        none armed changes nothing.
         """
-        if kernel:
-            self.system_ns += ns
-        else:
-            self.user_ns += ns
+        if not kernel:
             if self.vtimer_remaining_ns > 0:
                 self.vtimer_remaining_ns = max(
                     0, self.vtimer_remaining_ns - ns)

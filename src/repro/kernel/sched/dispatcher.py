@@ -46,7 +46,8 @@ class Dispatcher:
         if m is not None:
             lwp.ready_since_ns = self.engine.now_ns
             m.observe("sched.runq_depth", len(self.table))
-            m.observe(f"sched.runq_depth.{pol.name}", len(pol))
+            m.histogram_families["sched.runq_depth"][pol.name].observe(
+                len(pol))
         self._place(lwp)
 
     def cpu_idle(self, cpu) -> None:
@@ -141,14 +142,14 @@ class Dispatcher:
         lwp.state = LwpState.RUNNING
         m = self.engine.metrics
         if m is not None:
-            m.count(f"sched.dispatches.{lwp.sched_class.value}")
+            cls = lwp.sched_class.value
+            m.counter_families["sched.dispatches"][cls].value += 1
             ready = lwp.ready_since_ns
             if ready is not None:
                 latency = self.engine.now_ns - ready
                 m.observe("sched.dispatch_latency_ns", latency)
-                m.observe(
-                    f"sched.dispatch_latency_ns.{lwp.sched_class.value}",
-                    latency)
+                m.histogram_families["sched.dispatch_latency_ns"][
+                    cls].observe(latency)
                 lwp.ready_since_ns = None
         cpu.assign(lwp)
         self._arm_quantum(cpu, lwp)

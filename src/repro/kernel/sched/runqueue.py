@@ -19,13 +19,18 @@ class RunQueue:
 
     def __init__(self):
         self._queues: dict[int, deque[Lwp]] = {}
+        # The levels of _queues, best first.  A level's deque stays once
+        # made (it may be empty), so this changes only when a priority
+        # first appears.
+        self._prios: list[int] = []
         self._count = 0
 
     def insert(self, lwp: Lwp, front: bool = False) -> None:
-        q = self._queues.get(lwp.effective_priority)
+        prio = lwp.effective_priority
+        q = self._queues.get(prio)
         if q is None:
-            q = deque()
-            self._queues[lwp.effective_priority] = q
+            q = self._queues[prio] = deque()
+            self._prios = sorted(self._queues, reverse=True)
         if front:
             q.appendleft(lwp)
         else:
@@ -57,7 +62,7 @@ class RunQueue:
 
         FIFO within a priority level.
         """
-        for prio in sorted(self._queues, reverse=True):
+        for prio in self._prios:
             q = self._queues[prio]
             for lwp in q:
                 if eligible(lwp):
@@ -68,7 +73,7 @@ class RunQueue:
 
     def peek(self, eligible: Callable[[Lwp], bool]) -> Optional[Lwp]:
         """The LWP :meth:`pick` would return, without removing it."""
-        for prio in sorted(self._queues, reverse=True):
+        for prio in self._prios:
             for lwp in self._queues[prio]:
                 if eligible(lwp):
                     return lwp
@@ -76,7 +81,7 @@ class RunQueue:
 
     def best_priority(self) -> Optional[int]:
         """Highest priority with a queued LWP, or None when empty."""
-        for prio in sorted(self._queues, reverse=True):
+        for prio in self._prios:
             if self._queues[prio]:
                 return prio
         return None
@@ -90,6 +95,6 @@ class RunQueue:
     def snapshot(self) -> list[Lwp]:
         """All queued LWPs, best priority first (diagnostics)."""
         out: list[Lwp] = []
-        for prio in sorted(self._queues, reverse=True):
+        for prio in self._prios:
             out.extend(self._queues[prio])
         return out

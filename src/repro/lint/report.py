@@ -196,9 +196,6 @@ class LintReport:
              else kept).append(f)
         self.findings = kept
 
-    def by_rule(self, rule: str) -> list[LintFinding]:
-        return [f for f in self.findings if f.rule == rule]
-
     def to_dict(self) -> dict:
         return {"files": sorted(self.files),
                 "findings": [f.to_dict() for f in self.findings],

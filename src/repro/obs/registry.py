@@ -21,6 +21,16 @@ Design rules (see docs/OBSERVABILITY.md):
   never push events, charge time, or emit trace records.  Enabling
   metrics therefore cannot change virtual-time results or trace digests.
 
+* **Pre-resolved at hot sites.**  A site that runs on most effects
+  takes its metric from a keyed family instead of formatting a name
+  and calling a hook::
+
+      m.counter_families["syscall.count"][name].value += 1
+
+  The family registers ``syscall.count.<name>`` on first use, exactly
+  the metric ``count()`` would have made, so names and exports do not
+  change.
+
 * **Bit-reproducible output.**  Histograms bucket by ``value.bit_length()``
   (fixed log2 boundaries, no float math on the hot path) and keep exact
   integer count/sum/min/max.  Snapshots contain only ints and strings,
@@ -124,6 +134,40 @@ class Histogram:
         }
 
 
+class MetricFamily(dict):
+    """The metrics named ``<prefix>.<key>``, each resolved once.
+
+    ``family[key]`` returns the metric registered under the full dotted
+    name, creating it through the registry on first use; later lookups
+    are one dict subscript.
+    """
+
+    __slots__ = ("_make", "_prefix")
+
+    def __init__(self, make, prefix: str):
+        super().__init__()
+        self._make = make
+        self._prefix = prefix
+
+    def __missing__(self, key):
+        metric = self[key] = self._make(f"{self._prefix}.{key}")
+        return metric
+
+
+class _Families(dict):
+    """Prefix -> :class:`MetricFamily`, created on first use."""
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, prefix: str) -> MetricFamily:
+        family = self[prefix] = MetricFamily(self._make, prefix)
+        return family
+
+
 class MetricsRegistry:
     """Named counters/gauges/histograms behind dotted hierarchical keys.
 
@@ -137,6 +181,10 @@ class MetricsRegistry:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
+        # Keyed families for hot sites: counter_families["a.b"]["c"] is
+        # the counter "a.b.c".
+        self.counter_families = _Families(self.counter)
+        self.histogram_families = _Families(self.histogram)
 
     # ------------------------------------------------------- hot helpers
 
@@ -189,6 +237,8 @@ class MetricsRegistry:
         self.counters.clear()
         self.gauges.clear()
         self.histograms.clear()
+        self.counter_families.clear()
+        self.histogram_families.clear()
 
     # ----------------------------------------------------------- exports
 

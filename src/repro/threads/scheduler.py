@@ -258,11 +258,6 @@ class ThreadsLibrary:
             return [lwp.lwp_id]
         return []
 
-    def wake_thread(self, thread: Thread, value: Any = None):
-        """Generator: make runnable and issue any required unparks."""
-        for lwp_id in self.make_runnable(thread, value):
-            yield Syscall("lwp_unpark", lwp_id)
-
     def wake_from_queue(self, queue: list, n: int = 1, value: Any = None):
         """Generator: wake up to ``n`` threads off a user wait queue;
         returns how many were woken."""

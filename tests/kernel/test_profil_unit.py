@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.hw.cpu import CPU
 from repro.kernel.lwp import Lwp, LwpState, SchedClass
+from repro.kernel.process import ResourceLimits
 from repro.kernel.profil import ProfilingBuffer, ProfilingState
+from repro.sim.engine import Engine
 from repro.threads.stack import DEFAULT_STACK_SIZE, Stack, StackAllocator
 
 
@@ -108,6 +111,7 @@ class TestLwpUnit:
     def _lwp(self):
         class FakeProc:
             pid = 9
+            rlimits = ResourceLimits()
         return Lwp(3, FakeProc(), activity=None)
 
     def test_name_and_repr(self):
@@ -124,11 +128,14 @@ class TestLwpUnit:
 
     def test_accounting_splits_user_system(self):
         lwp = self._lwp()
-        lwp.account(100, kernel=False)
-        lwp.account(40, kernel=True)
+        cpu = CPU(0, Engine(), costs=None)
+        cpu.lwp = lwp
+        cpu._account(lwp, 100, False)
+        cpu._account(lwp, 40, True)
         assert lwp.user_ns == 100
         assert lwp.system_ns == 40
         assert lwp.cpu_ns == 140
+        assert (cpu.user_ns, cpu.kernel_ns, cpu.busy_ns) == (100, 40, 140)
 
     def test_indefinite_block_flag(self):
         lwp = self._lwp()

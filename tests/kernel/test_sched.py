@@ -1,5 +1,7 @@
 """Tests for the run queue, scheduling classes, and dispatcher policy."""
 
+import random
+
 import pytest
 
 from repro.api import Simulator
@@ -68,6 +70,51 @@ class TestRunQueue:
         q.insert(a)
         a.effective_priority = 20  # changed while queued
         assert q.remove(a)
+
+    def test_pick_order_matches_sorted_scan(self):
+        """Random insert/remove/pick/peek against a reference that sorts
+        the priority levels on every call."""
+        rng = random.Random(7)
+        q = RunQueue()
+        ref: dict = {}   # prio -> list, FIFO
+        queued = []
+        for step in range(3000):
+            op = rng.random()
+            if op < 0.45 or not queued:
+                lwp = FakeLwp(rng.choice((0, 5, 30, 59, 100, 130, 200)),
+                              name=f"l{step}")
+                front = rng.random() < 0.2
+                q.insert(lwp, front=front)
+                level = ref.setdefault(lwp.effective_priority, [])
+                if front:
+                    level.insert(0, lwp)
+                else:
+                    level.append(lwp)
+                queued.append(lwp)
+            elif op < 0.6:
+                lwp = rng.choice(queued)
+                assert q.remove(lwp)
+                ref[lwp.effective_priority].remove(lwp)
+                queued.remove(lwp)
+            else:
+                parity = rng.randrange(3)
+
+                def eligible(l):
+                    return parity == 2 or int(l.name[1:]) % 2 == parity
+
+                expect = next((l for p in sorted(ref, reverse=True)
+                               for l in ref[p] if eligible(l)), None)
+                best = next((p for p in sorted(ref, reverse=True)
+                             if ref[p]), None)
+                assert q.best_priority() == best
+                assert q.peek(eligible) is expect
+                assert q.pick(eligible) is expect
+                if expect is not None:
+                    ref[expect.effective_priority].remove(expect)
+                    queued.remove(expect)
+            assert len(q) == len(queued)
+        assert q.snapshot() == [l for p in sorted(ref, reverse=True)
+                                for l in ref[p]]
 
     def test_best_priority(self):
         q = RunQueue()
