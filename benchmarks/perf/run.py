@@ -10,10 +10,13 @@ Usage::
     python benchmarks/perf/run.py --update
 
     # CI smoke gate: re-measure and fail if any workload is more than
-    # --tolerance x slower than the checked-in reference.  Generous by
-    # design: CI machines vary wildly; the gate catches order-of-
-    # magnitude regressions (an accidentally quadratic hot path), not
-    # percent-level drift.
+    # --tolerance x slower than the checked-in reference, or fired a
+    # different number of events.  The time bound is generous by
+    # design: CI machines vary wildly; it catches order-of-magnitude
+    # regressions (an accidentally quadratic hot path), not
+    # percent-level drift.  The event count is a pure function of the
+    # simulation, so it is gated exactly: one extra event per request
+    # fails on any host.
     python benchmarks/perf/run.py --check --tolerance 3.0
 
     # Measure an older checkout with the same workload definitions
@@ -22,7 +25,8 @@ Usage::
 
 Each workload runs once to warm caches, then ``--best-of`` timed
 repetitions; the fastest is recorded (wall-clock minima are the stable
-statistic on a noisy host).
+statistic on a noisy host).  Every repetition also counts the events
+its engines fire (``events_fired``), which must agree across them.
 """
 
 from __future__ import annotations
@@ -38,6 +42,28 @@ REPO = os.path.dirname(os.path.dirname(HERE))
 REFERENCE = os.path.join(REPO, "BENCH_PERF.json")
 
 
+def counting_events(fn):
+    """Run ``fn()``; return its result and the events fired by every
+    ``Engine.run`` call it made, including runs that raised."""
+    from repro.sim.engine import Engine
+
+    run = Engine.run
+    fired = [0]
+
+    def counted_run(engine, *args, **kwargs):
+        before = engine.events_fired
+        try:
+            return run(engine, *args, **kwargs)
+        finally:
+            fired[0] += engine.events_fired - before
+
+    Engine.run = counted_run
+    try:
+        return fn(), fired[0]
+    finally:
+        Engine.run = run
+
+
 def measure(best_of: int, only=None) -> dict:
     from workloads import WORKLOADS
 
@@ -45,13 +71,19 @@ def measure(best_of: int, only=None) -> dict:
     for name, (fn, kind) in WORKLOADS.items():
         if only and name not in only:
             continue
-        fn()  # warm-up: imports, bytecode, allocator
+        # Warm-up: imports, bytecode, allocator.
+        _, events = counting_events(fn)
         best, units = None, None
         for _ in range(best_of):
-            elapsed, units = fn()
+            (elapsed, units), rep_events = counting_events(fn)
+            if rep_events != events:
+                raise RuntimeError(
+                    f"{name}: events fired differ between repetitions "
+                    f"({events} then {rep_events}): nondeterminism")
             if best is None or elapsed < best:
                 best = elapsed
-        entry = {"elapsed_s": round(best, 6), "metric": kind}
+        entry = {"elapsed_s": round(best, 6), "metric": kind,
+                 "events_fired": events}
         if kind == "rate":
             entry["units"] = units
             entry["per_sec"] = round(units / best, 1)
@@ -60,11 +92,13 @@ def measure(best_of: int, only=None) -> dict:
 
 
 def table(results: dict) -> str:
-    lines = [f"{'workload':<20} {'elapsed':>10}  {'rate':>14}"]
+    lines = [f"{'workload':<20} {'elapsed':>10}  {'rate':>14}  "
+             f"{'events':>10}"]
     for name, r in results.items():
         rate = (f"{r['per_sec']:>11,.0f}/s" if r.get("per_sec")
                 else f"{'-':>12}")
-        lines.append(f"{name:<20} {r['elapsed_s']:>9.4f}s  {rate}")
+        lines.append(f"{name:<20} {r['elapsed_s']:>9.4f}s  {rate}  "
+                     f"{r['events_fired']:>10}")
     return "\n".join(lines)
 
 
@@ -83,6 +117,12 @@ def check(fresh: dict, reference_path: str, tolerance: float) -> int:
               f"{base['elapsed_s']:.4f}s ({ratio:.2f}x, limit "
               f"{tolerance:.1f}x) {verdict}")
         if ratio > tolerance:
+            failures += 1
+        pinned = base.get("events_fired")
+        exact = r["events_fired"] == pinned
+        print(f"  {name}: {r['events_fired']} events fired vs pinned "
+              f"{pinned} {'ok' if exact else 'MISMATCH'}")
+        if not exact:
             failures += 1
     return failures
 
@@ -105,7 +145,8 @@ def main(argv=None) -> int:
                              "section with the fresh numbers")
     parser.add_argument("--check", action="store_true",
                         help="compare against the reference and exit "
-                             "non-zero on a regression")
+                             "non-zero on a regression or on any change "
+                             "in events fired")
     parser.add_argument("--tolerance", type=float, default=3.0,
                         help="slowdown factor tolerated by --check "
                              "(default 3.0)")
@@ -156,8 +197,8 @@ def main(argv=None) -> int:
         print("\nchecking against reference:")
         failures = check(fresh, args.reference, args.tolerance)
         if failures:
-            print(f"{failures} workload(s) regressed beyond "
-                  f"{args.tolerance:.1f}x")
+            print(f"{failures} check(s) failed: a slowdown beyond "
+                  f"{args.tolerance:.1f}x or an events-fired mismatch")
             return 1
         print("within tolerance")
     return 0

@@ -26,18 +26,20 @@ Host performance
 ``_step`` and the effect interpreters are the simulator's innermost loop;
 they obey the hot-path rules of ARCHITECTURE §10:
 
-* *Inline stepping.*  A step ``Event`` fires :meth:`CPU._run_steps`, which
-  keeps running this CPU's next step in place for as long as it sorts
-  strictly before every queued event, so most effects never touch the
-  event queue.  A step allocates an ``Event`` and a heap tuple only when
-  it yields to the heap.
+* *Step slots.*  A CPU's next step is never an ``Event``:
+  :meth:`CPU._schedule_step` reserves a seq from the queue's counter and
+  parks ``(time_ns, seq)`` in the one-slot register ``_next_step``, which
+  the engine merges with the event heap in ``(time, seq)`` order (see
+  :meth:`Engine.run <repro.sim.engine.Engine.run>`).  Cancelling a step
+  clears the slot.  No effect allocates an event or touches the heap.
 * ``_step`` dispatches through a *type-keyed table* (``_DISPATCH``), one
   dict lookup on ``type(effect)`` instead of an isinstance chain.  Effect
   subclasses resolve through the MRO once and are cached.
 * Trace emission is gated on the tracer's per-category flags before any
   argument is built, so a disabled tracer costs one attribute check.
 * Hot handlers read ``activity.frames[-1]`` and ``self._clock.now_ns``
-  directly rather than through properties; step tags are precomputed.
+  directly rather than through properties.  The syscall-exit signal
+  test reads the two pending-signal words (``Sigset.bits``) directly.
 * *Accounting fast path.*  Every charge goes through :meth:`CPU._account`,
   which adds to the CPU and LWP counters in place.  The CPU-time
   watchers (``ITIMER_VIRTUAL``/``ITIMER_PROF``, a ``profil`` buffer,
@@ -55,7 +57,6 @@ they obey the hot-path rules of ARCHITECTURE §10:
 from __future__ import annotations
 
 from functools import cache
-from heapq import heappop, heappush
 from typing import Any, Optional
 
 from repro.errors import (Errno, InterruptedSleep, SimulationError,
@@ -63,7 +64,6 @@ from repro.errors import (Errno, InterruptedSleep, SimulationError,
 from repro.hw import isa
 from repro.hw.context import Activity, Frame, Mode
 from repro.hw.memory import page_of
-from repro.sim.events import Event
 
 
 _KERNEL = Mode.KERNEL
@@ -116,18 +116,14 @@ class CPU:
         self.kernel = None  # installed by the machine
         self.lwp = None  # currently running LWP
         self._ctx: Optional[ExecContext] = None  # its ExecContext
-        self._step_event = None
-        self._step_tag = f"cpu-{index}.step"
         # Hot-path caches: the next step is scheduled once per effect,
-        # so the queue, clock, and the bound step loop are resolved here
-        # rather than per call.
+        # so the queue and clock are resolved here rather than per call.
         self._queue = engine.queue
         self._clock = engine.clock
-        self._step_fn = self._run_steps
-        # While the step loop runs (_in_loop), _schedule_step parks the
-        # next step's reserved (time_ns, seq) here instead of queueing it.
-        self._in_loop = False
+        # The step slot: the next step's reserved (time_ns, seq), or
+        # None.  The engine runs it (``_step``) in its turn.
         self._next_step: Optional[tuple] = None
+        engine.step_sources.append(self)
         self._charge_end_ns: Optional[int] = None
         # Virtual time the current LWP was assigned.  Feeds both the
         # metrics (per-class / per-LWP on-CPU accounting) and the
@@ -228,32 +224,15 @@ class CPU:
     # ------------------------------------------------------------ stepping
 
     def _schedule_step(self, delay_ns: int) -> None:
-        # Runs once per simulated effect.  The seq is reserved here
-        # whether or not the step is queued, so a step the loop runs in
-        # place keeps the exact (time, seq) place a queued one would
-        # have.  delay_ns comes from the cost model (validated
-        # non-negative at Charge construction).
+        # Runs once per simulated effect.  The seq comes from the queue's
+        # counter, so the step takes the exact (time, seq) place an event
+        # pushed now would have; a step already in the slot is replaced.
+        # delay_ns comes from the cost model (validated non-negative at
+        # Charge construction).
         q = self._queue
-        t = self._clock.now_ns + delay_ns
         seq = q._seq
         q._seq = seq + 1
-        if self._in_loop:
-            self._next_step = (t, seq)
-            return
-        ev = self._step_event
-        if ev is not None and not ev.cancelled:
-            ev.cancelled = True
-            if q._live > 0:
-                q._live -= 1
-        self._push_step(t, seq)
-
-    def _push_step(self, t: int, seq: int) -> None:
-        # Inlined EventQueue.push under an already reserved seq.
-        q = self._queue
-        q._live += 1
-        ev = Event(t, seq, self._step_fn, self._step_tag)
-        heappush(q._heap, (t, seq, ev))
-        self._step_event = ev
+        self._next_step = (self._clock.now_ns + delay_ns, seq)
 
     def _context(self, lwp) -> ExecContext:
         """The dispatch's ExecContext for ``lwp``.
@@ -268,9 +247,6 @@ class CPU:
 
     def _cancel_step(self) -> None:
         self._next_step = None
-        if self._step_event is not None:
-            self.engine.cancel(self._step_event)
-            self._step_event = None
 
     def _account(self, lwp, ns: int, kernel: bool) -> None:
         """Charge ``ns`` of user or kernel time: every charge comes here.
@@ -297,46 +273,6 @@ class CPU:
                 or lwp.profiling is not None
                 or lwp.process.rlimits.cpu_ns is not None):
             lwp.watch(ns, kernel)
-
-    def _run_steps(self) -> None:
-        """The step loop: what every step ``Event`` fires.
-
-        Runs :meth:`_step`, then keeps running this CPU's next step in
-        place while it sorts strictly before the first live queued entry
-        in ``(time, seq)`` order -- the entry the engine would otherwise
-        pop next -- and within the run's ``until_ns`` and ``max_events``.
-        Each inline step advances the clock and counts as a fired event
-        exactly as a popped one would.  Otherwise the step is pushed
-        under its reserved seq, as if it had never been held back.
-        """
-        engine = self.engine
-        until_ns = engine._until_ns
-        max_events = engine._max_events
-        clock = self._clock
-        heap = self._queue._heap
-        step = self._step
-        self._step_event = None
-        self._in_loop = True
-        try:
-            step()
-            while True:
-                nxt = self._next_step
-                if nxt is None or engine._fired >= max_events:
-                    return
-                while heap and heap[0][2].cancelled:
-                    heappop(heap)
-                if (heap and heap[0] < nxt) or nxt[0] > until_ns:
-                    return
-                self._next_step = None
-                clock.now_ns = nxt[0]
-                engine._fired += 1
-                step()
-        finally:
-            self._in_loop = False
-            nxt = self._next_step
-            if nxt is not None:
-                self._next_step = None
-                self._push_step(*nxt)
 
     def _step(self) -> None:
         """Execute one effect of the current activity."""
@@ -531,7 +467,7 @@ class CPU:
                         self._clock.now_ns - frame.enter_ns)
                 ns = self.costs.syscall_exit
                 self._account(lwp, ns, True)
-                if lwp.pending or lwp.process.signals.pending:
+                if lwp.pending.bits or lwp.process.signals.pending.bits:
                     self.kernel.kernel_exit_check(self._context(lwp))
                 self._schedule_step(ns)
             else:
@@ -560,10 +496,8 @@ class CPU:
             # Only meaningful across the kernel/user boundary.
             exc = SyscallError(Errno.EINTR, frame.label, "interrupted")
         if activity.frames:
-            if frame.saved_resume is not None:
-                # Injected frame died; still re-apply what it displaced?
-                # No: the handler's failure takes precedence.
-                pass
+            # An injected frame that died does not re-apply what it
+            # displaced: the handler's failure takes precedence.
             below = activity.frames[-1]
             if frame.mode is _KERNEL and below.mode is _USER:
                 if self.tracer.want_syscall:

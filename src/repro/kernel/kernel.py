@@ -160,7 +160,7 @@ class Kernel:
         process.add_lwp(lwp)
         # Growing the pool is exactly the progress SIGWAITING asks for.
         process.sigwaiting_streak = 0
-        self.tracer.emit(self.engine.now_ns, "lwp", "create", lwp.name)
+        self.tracer.emit(self.engine.clock.now_ns, "lwp", "create", lwp.name)
         if runnable:
             self.dispatcher.make_runnable(lwp)
         else:
@@ -246,7 +246,7 @@ class Kernel:
         lwp.wait_channels = channels
         lwp.sleep_interruptible = interruptible
         lwp.sleep_indefinite = indefinite
-        lwp.sleep_since_ns = self.engine.now_ns
+        lwp.sleep_since_ns = self.engine.clock.now_ns
         self.dispatcher.on_sleep(lwp)
         for chan in channels:
             chan.add(lwp)
@@ -286,7 +286,7 @@ class Kernel:
             # woke): stop pelting the process so the event queue can
             # drain and deadlock detection can see the wedge.
             return
-        now = self.engine.now_ns
+        now = self.engine.clock.now_ns
         if now - proc.last_sigwaiting_ns < self.SIGWAITING_THROTTLE_NS:
             # Inside the throttle window the signal must be *deferred*,
             # not dropped: if the last LWP blocked just after a post,
@@ -314,7 +314,7 @@ class Kernel:
         if m is not None:
             m.count("kernel.sigwaiting_sent")
         if self.tracer.want_signal:
-            self.tracer.emit(self.engine.now_ns, "signal", "sigwaiting",
+            self.tracer.emit(self.engine.clock.now_ns, "signal", "sigwaiting",
                              f"pid-{proc.pid}")
         self.post_signal(proc, Sig.SIGWAITING)
 
@@ -347,7 +347,7 @@ class Kernel:
         lwp.process.sigwaiting_posted = False
         lwp.process.sigwaiting_streak = 0
         if self.tracer.want_sched:
-            self.tracer.emit(self.engine.now_ns, "sched", "wakeup",
+            self.tracer.emit(self.engine.clock.now_ns, "sched", "wakeup",
                              lwp.name)
         if lwp.current_activity is not None:
             lwp.current_activity.set_resume(value)
@@ -382,7 +382,7 @@ class Kernel:
         if lwp.current_activity is not None:
             lwp.current_activity.set_resume_exc(InterruptedSleep())
         if self.tracer.want_signal:
-            self.tracer.emit(self.engine.now_ns, "signal",
+            self.tracer.emit(self.engine.clock.now_ns, "signal",
                              "interrupt-sleep", lwp.name)
         self.dispatcher.make_runnable(lwp)
         return True
@@ -416,7 +416,7 @@ class Kernel:
         proc.signals.sent_count[sig] += 1
         if self.tracer.want_signal:
             self.tracer.emit(
-                self.engine.now_ns, "signal", "post", f"pid-{proc.pid}",
+                self.engine.clock.now_ns, "signal", "post", f"pid-{proc.pid}",
                 sig=sig.name,
                 target=target_lwp.name if target_lwp else "process")
 
@@ -513,7 +513,7 @@ class Kernel:
         lwp.sleep_indefinite = False
         proc.sigwaiting_posted = False
         proc.signals.delivered_count[sig] += 1
-        self.tracer.emit(self.engine.now_ns, "signal", "deliver-restart",
+        self.tracer.emit(self.engine.clock.now_ns, "signal", "deliver-restart",
                          lwp.name, sig=sig.name)
 
         old_mask = lwp.sigmask
@@ -580,7 +580,7 @@ class Kernel:
                 self._stop_process(proc)
             return
         proc.signals.delivered_count[sig] += 1
-        self.tracer.emit(self.engine.now_ns, "signal", "deliver",
+        self.tracer.emit(self.engine.clock.now_ns, "signal", "deliver",
                          lwp.name, sig=sig.name)
         activity = lwp.current_activity
         if activity is None or activity.finished:
@@ -655,7 +655,7 @@ class Kernel:
         lwp.exited = True
         lwp.state = LwpState.ZOMBIE
         lwp.channel = None
-        self.tracer.emit(self.engine.now_ns, "lwp", "exit", lwp.name)
+        self.tracer.emit(self.engine.clock.now_ns, "lwp", "exit", lwp.name)
         proc = lwp.process
         self.wakeup_all(proc.lwp_wait, value=lwp.lwp_id)
         if proc.dying and not proc.live_lwps():
@@ -676,7 +676,8 @@ class Kernel:
         lwp.exited = True
         lwp.state = LwpState.ZOMBIE
         lwp.channel = None
-        self.tracer.emit(self.engine.now_ns, "lwp", "terminate", lwp.name)
+        self.tracer.emit(self.engine.clock.now_ns, "lwp", "terminate",
+                         lwp.name)
 
     def crash_lwp(self, lwp: Lwp, status: Optional[int] = None) -> None:
         """An LWP died abruptly (fault injection, watchdog kill).
@@ -701,7 +702,7 @@ class Kernel:
         victims = []
         if not proc.dying and proc.threadlib is not None:
             victims = reclaim_dead_lwp(self, lwp)
-        self.tracer.emit(self.engine.now_ns, "crash", "lwp", lwp.name,
+        self.tracer.emit(self.engine.clock.now_ns, "crash", "lwp", lwp.name,
                          threads=[t.name for t in victims])
         m = self.engine.metrics
         if m is not None:
@@ -728,7 +729,7 @@ class Kernel:
         """Uncaught exception at the bottom of an activity."""
         if isinstance(exc, SyscallError):
             # A simulated program died of an unhandled syscall failure.
-            self.tracer.emit(self.engine.now_ns, "proc", "crash",
+            self.tracer.emit(self.engine.clock.now_ns, "proc", "crash",
                              lwp.name, err=str(exc))
             self.exit_process(lwp.process, status=1)
             return
@@ -769,7 +770,7 @@ class Kernel:
             self.engine.cancel(proc.real_timer_event)
             proc.real_timer_event = None
         if self.tracer.want_proc:
-            self.tracer.emit(self.engine.now_ns, "proc", "exit",
+            self.tracer.emit(self.engine.clock.now_ns, "proc", "exit",
                              f"pid-{proc.pid}", status=proc.exit_status)
         # Reparent children to nobody; auto-reap their zombies.
         for child in proc.children:

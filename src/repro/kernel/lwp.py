@@ -55,6 +55,11 @@ class SchedClass(enum.Enum):
     SJF = "SJF"
     HRR = "HRR"
 
+    # Members are singletons compared by identity: hash them the same
+    # way instead of through Enum.__hash__ (a Python-level call), since
+    # the dispatcher looks classes up in dicts on every dispatch.
+    __hash__ = object.__hash__
+
 
 #: Priority bands per class; higher effective priority always dispatches
 #: first.  Real-time sits above every timeshare priority, per the Chorus

@@ -128,7 +128,8 @@ class Process:
     def all_lwps_blocked_indefinitely(self) -> bool:
         """The SIGWAITING condition: every live LWP is in an indefinite,
         external wait."""
-        live = self.live_lwps()
+        live = [l for l in self.lwps.values()
+                if l.state is not LwpState.ZOMBIE]
         return bool(live) and all(l.is_blocked_indefinitely() for l in live)
 
     # ---------------------------------------------------------- accounting

@@ -44,7 +44,7 @@ class Dispatcher:
         pol.enqueue(lwp, front=front)
         m = self.engine.metrics
         if m is not None:
-            lwp.ready_since_ns = self.engine.now_ns
+            lwp.ready_since_ns = self.engine.clock.now_ns
             m.observe("sched.runq_depth", len(self.table))
             m.histogram_families["sched.runq_depth"][pol.name].observe(
                 len(pol))
@@ -146,7 +146,7 @@ class Dispatcher:
             m.counter_families["sched.dispatches"][cls].value += 1
             ready = lwp.ready_since_ns
             if ready is not None:
-                latency = self.engine.now_ns - ready
+                latency = self.engine.clock.now_ns - ready
                 m.observe("sched.dispatch_latency_ns", latency)
                 m.histogram_families["sched.dispatch_latency_ns"][
                     cls].observe(latency)

@@ -138,12 +138,13 @@ SIG_SETMASK = 2
 
 
 class Sigset:
-    """A set of signals (mask or pending set)."""
+    """A set of signals (mask or pending set).  ``bits`` is the signal
+    word (bit ``n`` for signal ``n``); hot paths test it directly."""
 
-    __slots__ = ("_bits",)
+    __slots__ = ("bits",)
 
     def __init__(self, signals: Optional[Iterable[Sig]] = None):
-        self._bits = 0
+        self.bits = 0
         if signals:
             for s in signals:
                 self.add(s)
@@ -158,27 +159,27 @@ class Sigset:
         return ss
 
     def add(self, sig: Sig) -> None:
-        self._bits |= (1 << int(sig))
+        self.bits |= (1 << int(sig))
 
     def discard(self, sig: Sig) -> None:
-        self._bits &= ~(1 << int(sig))
+        self.bits &= ~(1 << int(sig))
 
     def __contains__(self, sig: Sig) -> bool:
-        return bool(self._bits & (1 << int(sig)))
+        return bool(self.bits & (1 << int(sig)))
 
     def copy(self) -> "Sigset":
         ss = Sigset()
-        ss._bits = self._bits
+        ss.bits = self.bits
         return ss
 
     def union(self, other: "Sigset") -> "Sigset":
         ss = Sigset()
-        ss._bits = self._bits | other._bits
+        ss.bits = self.bits | other.bits
         return ss
 
     def difference(self, other: "Sigset") -> "Sigset":
         ss = Sigset()
-        ss._bits = self._bits & ~other._bits
+        ss.bits = self.bits & ~other.bits
         return ss
 
     def apply(self, how: int, other: "Sigset") -> "Sigset":
@@ -203,7 +204,7 @@ class Sigset:
         numbers: pending sets are almost always empty or near-empty, and
         this runs on every syscall exit (``kernel_exit_check``).
         """
-        bits = self._bits
+        bits = self.bits
         out = []
         while bits:
             low = bits & -bits
@@ -214,16 +215,16 @@ class Sigset:
     def first(self) -> Optional[Sig]:
         """The lowest-numbered member, or None if empty (hot-path helper:
         no list is built)."""
-        bits = self._bits
+        bits = self.bits
         if not bits:
             return None
         return Sig((bits & -bits).bit_length() - 1)
 
     def __bool__(self) -> bool:
-        return self._bits != 0
+        return self.bits != 0
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Sigset) and self._bits == other._bits
+        return isinstance(other, Sigset) and self.bits == other.bits
 
     def __repr__(self) -> str:
         names = ",".join(s.name for s in self.signals())

@@ -169,7 +169,7 @@ def _select_sockets(ctx, opens, deadline):
     timer_event = None
     if deadline is not None:
         timer_event = kernel.engine.call_after(
-            max(0, deadline - kernel.engine.now_ns),
+            max(0, deadline - kernel.engine.clock.now_ns),
             lambda: kernel.wakeup_one(chan) if chan.waiters else None,
             tag="select-timeout")
     try:
@@ -180,7 +180,7 @@ def _select_sockets(ctx, opens, deadline):
             if hot:
                 ready = [fd for fd, of in opens if id(of.inode) in hot]
                 continue
-            if deadline is not None and kernel.engine.now_ns >= deadline:
+            if deadline is not None and kernel.engine.clock.now_ns >= deadline:
                 return []
             yield Block(chan, interruptible=True,
                         indefinite=deadline is None)
@@ -213,7 +213,7 @@ def sys_select(ctx, fds, timeout_ns=None):
     yield Charge(ctx.costs.syscall_service_trivial)
     opens = [(fd, proc.fdtable.get(fd)) for fd in fds]
 
-    deadline = (kernel.engine.now_ns + timeout_ns
+    deadline = (kernel.engine.clock.now_ns + timeout_ns
                 if timeout_ns is not None else None)
     if opens and all(isinstance(of.inode, Socket) for _fd, of in opens):
         return (yield from _select_sockets(ctx, opens, deadline))
@@ -221,7 +221,7 @@ def sys_select(ctx, fds, timeout_ns=None):
         ready = [fd for fd, of in opens if _readable_now(of.inode)]
         if ready:
             return ready
-        if deadline is not None and kernel.engine.now_ns >= deadline:
+        if deadline is not None and kernel.engine.clock.now_ns >= deadline:
             return []
         channels = []
         for _fd, of in opens:
@@ -233,7 +233,7 @@ def sys_select(ctx, fds, timeout_ns=None):
             tchan = WaitChannel(f"{ctx.lwp.name}:selecttmo")
             channels.append(tchan)
             timer_event = kernel.engine.call_after(
-                deadline - kernel.engine.now_ns,
+                deadline - kernel.engine.clock.now_ns,
                 lambda: kernel.wakeup_one(tchan) if tchan.waiters
                 else None,
                 tag="select-timeout")

@@ -23,7 +23,7 @@ ITIMER_PROF = 2
 def sys_gettimeofday(ctx):
     """Current virtual time in nanoseconds."""
     yield Charge(ctx.costs.syscall_service_trivial)
-    return ctx.engine.now_ns
+    return ctx.engine.clock.now_ns
 
 
 @syscall("nanosleep")
@@ -44,9 +44,9 @@ def sys_nanosleep(ctx, duration_ns: int):
         # machine.  Deterministic (seeded stream).
         duration_ns += kernel.faults.timer_jitter_ns()
     chan = WaitChannel(f"{lwp.name}:nanosleep")
-    deadline = kernel.engine.now_ns + duration_ns
-    while kernel.engine.now_ns < deadline:
-        remaining = deadline - kernel.engine.now_ns
+    deadline = kernel.engine.clock.now_ns + duration_ns
+    while kernel.engine.clock.now_ns < deadline:
+        remaining = deadline - kernel.engine.clock.now_ns
         wake = kernel.engine.call_after(
             remaining,
             lambda: kernel.wakeup_one(chan, value="timer")

@@ -104,7 +104,7 @@ class LoadDriver:
             return
         i = self._next
         self._next += 1
-        t = max(self.trace.arrivals_ns[i], self.engine.now_ns)
+        t = max(self.trace.arrivals_ns[i], self.engine.clock.now_ns)
         self.engine.call_at(t, lambda: self._arrive(i),
                             tag="load-arrival")
 
@@ -120,7 +120,7 @@ class LoadDriver:
     def _inject(self, rid_index: int, client) -> None:
         i = self._injected
         self._injected += 1
-        now = self.engine.now_ns
+        now = self.engine.clock.now_ns
         if self.first_ns is None:
             self.first_ns = now
         m = self.metrics
@@ -194,7 +194,7 @@ class LoadDriver:
         sock.rbuf.clear()
         self.net.close_socket(sock)
         self._resolve(i, outcome, rec["sent_ns"], rec["window"],
-                      self.engine.now_ns, rec["client"])
+                      self.engine.clock.now_ns, rec["client"])
 
     def _resolve(self, i: int, outcome: str, sent_ns: int, w: int,
                  done_ns, client) -> None:
@@ -207,7 +207,7 @@ class LoadDriver:
             m.observe(f"load.latency_ns.{lbl}", lat)
             m.observe(f"load.w{w:02d}.latency_ns.{lbl}", lat)
         self._resolved += 1
-        self.done_ns = self.engine.now_ns
+        self.done_ns = self.engine.clock.now_ns
         if self.closed is not None and client is not None:
             self._next_closed(client)
         if self._resolved >= self._total and \

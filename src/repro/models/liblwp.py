@@ -73,8 +73,7 @@ def bootstrap_process(kernel: Kernel, proc: Process, main, args: tuple,
         bound=False)
     thread.activity = Activity(_thread_body(lib, thread),
                                name=f"pid{proc.pid}-liblwp-main")
-    lib.threads[thread.thread_id] = thread
-    lib.threads_created += 1
+    lib.add_thread(thread)
     lwp = kernel.create_lwp(proc, thread.activity)
     lib.register_pool_lwp(lwp)
     lwp.current_thread = thread

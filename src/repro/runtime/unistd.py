@@ -40,9 +40,9 @@ def syscall(name: str, *args, **kwargs):
 
 
 def _wrap(name):
+    # Returns syscall()'s own generator: no extra frame per call.
     def call(*args, **kwargs):
-        result = yield from syscall(name, *args, **kwargs)
-        return result
+        return syscall(name, *args, **kwargs)
     call.__name__ = name
     call.__qualname__ = name
     call.__doc__ = f"Generator wrapper for the {name}(2) system call."

@@ -4,9 +4,12 @@ The engine owns the virtual clock and the event queue and advances the
 simulation by firing events in (time, sequence) order.  Everything above it
 — hardware, kernel, threads library — expresses behaviour as events.
 
-The engine knows nothing about CPUs or processes; it only runs callbacks.
-Deadlock detection is delegated to an optional ``idle_check`` hook installed
-by the machine, which can inspect kernel state when the event queue drains.
+The engine knows nothing about CPUs or processes; it runs callbacks, and
+the steps of registered *step sources*: objects holding at most one
+pending step in a ``_next_step`` slot, run by their ``_step()``.  Each
+CPU is one, so its steps never touch the heap.  Deadlock detection is
+delegated to an optional ``idle_check`` hook installed by the machine,
+which can inspect kernel state when the queue and every slot drain.
 """
 
 from __future__ import annotations
@@ -37,13 +40,8 @@ class Engine:
         self.rng = DeterministicRNG(seed)
         self._running = False
         self._events_fired = 0
-        # State of the run() in progress, shared with the CPUs' step
-        # loops (CPU._run_steps), which fire steps in place and must
-        # count them here and honour the same limits: events fired so
-        # far, the until_ns horizon, and the max_events cap.
-        self._fired = 0
-        self._until_ns = inf
-        self._max_events = inf
+        # Step sources (the CPUs register themselves): see run().
+        self.step_sources: list = []
         # Hook returning a human-readable description of blocked entities,
         # or None when being idle is legitimate.  Installed by the machine.
         self.idle_check: Optional[Callable[[], Optional[str]]] = None
@@ -117,14 +115,23 @@ class Engine:
     def run(self, until_ns: Optional[int] = None,
             max_events: Optional[int] = None,
             check_deadlock: bool = True) -> int:
-        """Fire events until the queue drains (or a limit is reached).
+        """Fire events and steps in ``(time, seq)`` order until the queue
+        and every step slot drain (or a limit is reached).
+
+        A step source's ``_next_step`` is a ``(time_ns, seq)`` key with
+        a seq reserved from the queue's counter, so it sorts among
+        queued events as an event pushed under that seq would; running
+        it (``source._step()``) counts as firing one event.  After a
+        step, the same source's next one runs while it still sorts
+        before the heap top and every other slot.
 
         Args:
             until_ns: stop once the clock would pass this absolute time.
             max_events: stop after firing this many events (guard rail for
                 runaway simulations; raises SimulationError if exhausted).
-            check_deadlock: when the queue drains, consult ``idle_check``
-                and raise :class:`DeadlockError` if entities remain blocked.
+            check_deadlock: when everything drains, consult
+                ``idle_check`` and raise :class:`DeadlockError` if
+                entities remain blocked.
 
         Returns:
             The number of events fired by this call.
@@ -132,48 +139,91 @@ class Engine:
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
-        self._fired = 0
-        self._until_ns = inf if until_ns is None else until_ns
-        self._max_events = limit = inf if max_events is None else max_events
-        # Hot loop: bound methods are hoisted.  The count lives on self
-        # because a CPU's step loop adds to it: most steps never come
-        # through here, running in place while they precede every
-        # queued event.
+        horizon = inf if until_ns is None else until_ns
+        limit = inf if max_events is None else max_events
+        fired = 0
+        heap = self.queue._heap
         pop_next = self.queue.pop_next
-        advance_to = self.clock.advance_to
+        clock = self.clock
+        advance_to = clock.advance_to
+        # Each source with the others, whose slots its fast path checks.
+        sources = [(s, tuple(o for o in self.step_sources if o is not s))
+                   for s in self.step_sources]
         try:
             while True:
-                next_time, ev = pop_next(until_ns)
-                if ev is None:
-                    if next_time is not None:
-                        # Next live event lies beyond until_ns.
+                # The earliest slot; then, unless the heap top sorts
+                # after it, the first live heap entry if it sorts before
+                # that slot and lies within the horizon.
+                src = key = None
+                for s, others in sources:
+                    k = s._next_step
+                    if k is not None and (key is None or k < key):
+                        src, key, rivals = s, k, others
+                if key is None or (heap and heap[0] < key):
+                    t, ev = pop_next(until_ns, key)
+                    if ev is not None:
+                        advance_to(t)
+                        fn = ev.fn
+                        src = None
+                    elif key is None:
+                        if t is not None:
+                            # Next live event lies beyond until_ns.
+                            advance_to(until_ns)
+                        elif check_deadlock and self.idle_check is not None:
+                            self._check_idle()
+                        break
+                if src is not None:
+                    if key[0] > horizon:
                         advance_to(until_ns)
                         break
-                    if check_deadlock and self.idle_check is not None:
-                        complaint = self.idle_check()
-                        if complaint:
-                            report = self.diagnose_hang()
-                            if report:
-                                complaint = f"{complaint}\n{report}"
-                            raise DeadlockError(complaint)
+                    fn = src._step
+                    src._next_step = None
+                    clock.now_ns = key[0]
+                while True:
+                    # An event or step counts as it fires; one that
+                    # raises is taken back, so only completed ones count.
+                    fired += 1
+                    try:
+                        fn()
+                    except BaseException:
+                        fired -= 1
+                        raise
+                    if fired >= limit:
+                        raise SimulationError(
+                            f"max_events={max_events} exhausted at "
+                            f"t={self.now_usec:.1f}us; runaway simulation?")
+                    if src is None:
+                        break
+                    # Fast path: the same source again, while its next
+                    # step sorts first.  A cancelled heap top only sends
+                    # the choice back to the full merge above.
+                    key = src._next_step
+                    if (key is None or key[0] > horizon
+                            or (heap and heap[0] < key)):
+                        break
+                    for s in rivals:
+                        k = s._next_step
+                        if k is not None and k < key:
+                            break
+                    else:
+                        src._next_step = None
+                        clock.now_ns = key[0]
+                        continue
                     break
-                advance_to(next_time)
-                # An event counts as it fires; one whose callback raises
-                # is taken back, so only completed events are counted.
-                self._fired += 1
-                try:
-                    ev.fn()
-                except BaseException:
-                    self._fired -= 1
-                    raise
-                if self._fired >= limit:
-                    raise SimulationError(
-                        f"max_events={max_events} exhausted at "
-                        f"t={self.now_usec:.1f}us; runaway simulation?")
         finally:
             self._running = False
-            self._events_fired += self._fired
-        return self._fired
+            self._events_fired += fired
+        return fired
+
+    def _check_idle(self) -> None:
+        """Everything drained: raise if the idle check reports entities
+        that are still blocked."""
+        complaint = self.idle_check()
+        if complaint:
+            report = self.diagnose_hang()
+            if report:
+                complaint = f"{complaint}\n{report}"
+            raise DeadlockError(complaint)
 
     def diagnose_hang(self) -> str:
         """Render the wait-for graph of everything currently blocked.

@@ -11,8 +11,11 @@ network simulators) and keeps cancellation O(1).
 
 Host performance: the heap stores ``(time_ns, seq, event)`` tuples rather
 than bare events, so every sift comparison ``heapq`` makes is a C-level
-tuple comparison instead of a Python ``__lt__`` call — push/pop are the
-two most-executed operations in the simulator (one of each per effect).
+tuple comparison instead of a Python ``__lt__`` call.  CPU steps, the
+most frequent kind of scheduled work, never enter the heap: each CPU
+keeps its next step in a one-slot register under a seq reserved from
+this queue's counter, and the engine merges those slots with the heap
+(see :mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations
@@ -81,32 +84,23 @@ class EventQueue:
 
         Cancelled events are discarded transparently.
         """
-        heap = self._heap
-        while heap:
-            ev = heapq.heappop(heap)[2]
-            if ev.cancelled:
-                continue
-            self._live -= 1
-            return ev
-        return None
+        return self.pop_next()[1]
 
     def peek_time(self) -> Optional[int]:
         """Time of the next live event without removing it, or None."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        if heap:
-            return heap[0][0]
-        return None
+        # The empty key sorts before every entry, so nothing pops.
+        return self.pop_next(before=())[0]
 
-    def pop_next(self, until_ns: Optional[int] = None):
-        """Fused peek+pop for the engine's hot loop.
+    def pop_next(self, until_ns: Optional[int] = None,
+                 before: Optional[tuple] = None):
+        """The queue's one pop, fused with a peek for the engine's loop.
 
-        Returns ``(time_ns, event)`` for the next live event, popping it;
-        ``(time_ns, None)`` (without popping) when the next live event
-        lies beyond ``until_ns``; ``(None, None)`` when the queue is
-        empty.  One call replaces a peek_time/pop pair, and cancelled
-        entries are skipped once instead of twice.
+        Returns ``(time_ns, event)`` for the next live event, popping it,
+        if it lies within ``until_ns`` and sorts before ``before``, a
+        ``(time_ns, seq)`` key such as a CPU's pending step; otherwise
+        ``(time_ns, None)`` without popping.  Returns ``(None, None)``
+        when the queue is empty.  Cancelled entries met on the way are
+        discarded.
         """
         heap = self._heap
         while heap:
@@ -115,7 +109,8 @@ class EventQueue:
                 heapq.heappop(heap)
                 continue
             t = entry[0]
-            if until_ns is not None and t > until_ns:
+            if ((until_ns is not None and t > until_ns)
+                    or (before is not None and before < entry)):
                 return t, None
             heapq.heappop(heap)
             self._live -= 1

@@ -77,7 +77,7 @@ class CondVar(SyncVariable):
         lib = ctx.process.threadlib
         self.waits += 1
         self._m_count(ctx, "waits")
-        t0 = ctx.engine.now_ns
+        t0 = ctx.engine.clock.now_ns
         if not mutex.is_shared and mutex.owner is not ctx.thread:
             raise SyncError(
                 f"{self.name}: cv_wait with {mutex.name} not held")
@@ -105,7 +105,7 @@ class CondVar(SyncVariable):
             # Wall-to-wall wait including the mutex re-acquire — the
             # latency the paper's monitor pattern actually experiences.
             m.observe(f"sync.cv.wait_ns.{self.metric_label}",
-                      ctx.engine.now_ns - t0)
+                      ctx.engine.clock.now_ns - t0)
         return acquired
 
 
@@ -137,10 +137,10 @@ class CondVar(SyncVariable):
         if self.is_shared:
             cell = self.cell
             yield Touch(cell.mobj, cell.offset)
-            deadline = kernel.engine.now_ns + timeout_ns
+            deadline = kernel.engine.clock.now_ns + timeout_ns
             timed_out = False
             while True:
-                remaining = deadline - kernel.engine.now_ns
+                remaining = deadline - kernel.engine.clock.now_ns
                 if remaining <= 0:
                     timed_out = cell.load() == target_gen
                     break

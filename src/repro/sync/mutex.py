@@ -70,7 +70,7 @@ class Mutex(SyncVariable):
         ctx = yield GET_CONTEXT
         lib = ctx.process.threadlib
         me = ctx.thread
-        t0 = ctx.engine.now_ns
+        t0 = ctx.engine.clock.now_ns
         yield charge(ctx.costs.mutex_fast_path)
         if self.is_debug and self.owner is me:
             raise SyncError(f"{self.name}: recursive mutex_enter")
@@ -145,11 +145,11 @@ class Mutex(SyncVariable):
         lib = ctx.process.threadlib
         kernel = ctx.kernel
         me = ctx.thread
-        t0 = ctx.engine.now_ns
+        t0 = ctx.engine.clock.now_ns
         yield charge(ctx.costs.mutex_fast_path)
         if self.is_debug and self.owner is me:
             raise SyncError(f"{self.name}: recursive mutex_enter")
-        deadline = kernel.engine.now_ns + usec(timeout_usec)
+        deadline = kernel.engine.clock.now_ns + usec(timeout_usec)
         was_contended = False
         while True:
             if self.unrecoverable:
@@ -167,7 +167,7 @@ class Mutex(SyncVariable):
                 return Errno.EOWNERDEAD if self.owner_dead else True
             self.contended += 1
             was_contended = True
-            if kernel.engine.now_ns >= deadline:
+            if kernel.engine.clock.now_ns >= deadline:
                 return False
             if self.is_spin or (self.is_adaptive and self._owner_running()):
                 self.spins += 1
@@ -187,7 +187,7 @@ class Mutex(SyncVariable):
                             kernel.unpark_lwp(lwp)
 
             timer = kernel.engine.call_after(
-                deadline - kernel.engine.now_ns, on_timeout,
+                deadline - kernel.engine.clock.now_ns, on_timeout,
                 tag="mutex-timeout")
             outcome = yield from lib.block_current_on(
                 self.waiters, reason=self.name,
@@ -215,10 +215,10 @@ class Mutex(SyncVariable):
         ctx = yield GET_CONTEXT
         kernel = ctx.kernel
         cell = self.cell
-        t0 = ctx.engine.now_ns
+        t0 = ctx.engine.clock.now_ns
         yield Touch(cell.mobj, cell.offset, write=True)
         yield charge(ctx.costs.mutex_fast_path)
-        deadline = kernel.engine.now_ns + usec(timeout_usec)
+        deadline = kernel.engine.clock.now_ns + usec(timeout_usec)
         slept = False
         was_contended = False
         while True:
@@ -236,7 +236,7 @@ class Mutex(SyncVariable):
                 return True
             self.contended += 1
             was_contended = True
-            remaining = deadline - kernel.engine.now_ns
+            remaining = deadline - kernel.engine.clock.now_ns
             if remaining <= 0:
                 return False
             if self.is_spin:
@@ -390,7 +390,7 @@ class Mutex(SyncVariable):
         cell = self.cell
         yield Touch(cell.mobj, cell.offset, write=True)
         yield charge(ctx.costs.mutex_fast_path)
-        t0 = ctx.engine.now_ns
+        t0 = ctx.engine.clock.now_ns
         attempted = False
         slept = False
         while True:

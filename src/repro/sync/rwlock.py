@@ -111,7 +111,7 @@ class RwLock(SyncVariable):
         ctx = yield GET_CONTEXT
         lib = ctx.process.threadlib
         me = ctx.thread
-        t0 = ctx.engine.now_ns
+        t0 = ctx.engine.clock.now_ns
         yield charge(ctx.costs.sync_user_op)
         attempted = False
         if rw_type is RW_READER:
@@ -393,7 +393,7 @@ class RwLock(SyncVariable):
 
     def _enter_shared(self, rw_type: RwType):
         ctx = yield GET_CONTEXT
-        t0 = ctx.engine.now_ns
+        t0 = ctx.engine.clock.now_ns
         waited = False
         yield from self._m.enter()
         st = self._load_state()

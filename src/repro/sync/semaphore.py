@@ -72,7 +72,7 @@ class Semaphore(SyncVariable):
         ctx = yield GET_CONTEXT
         lib = ctx.process.threadlib
         me = ctx.thread
-        t0 = ctx.engine.now_ns
+        t0 = ctx.engine.clock.now_ns
         was_contended = False
         yield charge(ctx.costs.sync_user_op)
         while True:
@@ -128,10 +128,10 @@ class Semaphore(SyncVariable):
         lib = ctx.process.threadlib
         kernel = ctx.kernel
         me = ctx.thread
-        t0 = ctx.engine.now_ns
+        t0 = ctx.engine.clock.now_ns
         was_contended = False
         yield charge(ctx.costs.sync_user_op)
-        deadline = kernel.engine.now_ns + usec(timeout_usec)
+        deadline = kernel.engine.clock.now_ns + usec(timeout_usec)
         while True:
             if self.count > 0:
                 self.count -= 1
@@ -141,7 +141,7 @@ class Semaphore(SyncVariable):
                     yield from events.sync_point(ctx, "sema-p", self,
                                                  value=self.count)
                 return True
-            if kernel.engine.now_ns >= deadline:
+            if kernel.engine.clock.now_ns >= deadline:
                 return False
             self.blocks += 1
             was_contended = True
@@ -158,7 +158,7 @@ class Semaphore(SyncVariable):
                             kernel.unpark_lwp(lwp)
 
             timer = kernel.engine.call_after(
-                deadline - kernel.engine.now_ns, on_timeout,
+                deadline - kernel.engine.clock.now_ns, on_timeout,
                 tag="sema-timeout")
             outcome = yield from lib.block_current_on(
                 self.waiters, reason=self.name,
@@ -181,10 +181,10 @@ class Semaphore(SyncVariable):
         kernel = ctx.kernel
         cell = self.cell
         yield Touch(cell.mobj, cell.offset, write=True)
-        t0 = ctx.engine.now_ns
+        t0 = ctx.engine.clock.now_ns
         was_contended = False
         yield charge(ctx.costs.sync_user_op)
-        deadline = kernel.engine.now_ns + usec(timeout_usec)
+        deadline = kernel.engine.clock.now_ns + usec(timeout_usec)
         while True:
             count = cell.load()
             if count > 0:
@@ -194,7 +194,7 @@ class Semaphore(SyncVariable):
                     yield from events.sync_point(ctx, "sema-p", self,
                                                  value=count - 1)
                 return True
-            remaining = deadline - kernel.engine.now_ns
+            remaining = deadline - kernel.engine.clock.now_ns
             if remaining <= 0:
                 return False
             self.blocks += 1
@@ -269,7 +269,7 @@ class Semaphore(SyncVariable):
     def _p_shared(self):
         ctx = yield GET_CONTEXT
         cell = self.cell
-        t0 = ctx.engine.now_ns
+        t0 = ctx.engine.clock.now_ns
         was_contended = False
         yield Touch(cell.mobj, cell.offset, write=True)
         yield charge(ctx.costs.sync_user_op)

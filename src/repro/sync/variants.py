@@ -151,8 +151,8 @@ class SyncVariable:
         m.count(f"sync.{self.KIND}.{op}_{kind}.{label}")
         if contended:
             m.observe(f"sync.{self.KIND}.wait_ns.{label}",
-                      ctx.engine.now_ns - t0)
-        self._held_since = ctx.engine.now_ns
+                      ctx.engine.clock.now_ns - t0)
+        self._held_since = ctx.engine.clock.now_ns
 
     def _m_released(self, ctx) -> None:
         """Record hold time since the matching :meth:`_m_acquired`."""
@@ -162,7 +162,7 @@ class SyncVariable:
         held = getattr(self, "_held_since", None)
         if held is not None:
             m.observe(f"sync.{self.KIND}.hold_ns.{self.metric_label}",
-                      ctx.engine.now_ns - held)
+                      ctx.engine.clock.now_ns - held)
             self._held_since = None
 
     def _m_count(self, ctx, op: str) -> None:

@@ -81,7 +81,7 @@ def thread_create(func, arg: Any = None, flags: int = 0,
     creator = ctx.thread
     costs = ctx.costs
     metrics = ctx.engine.metrics
-    t_start = ctx.engine.now_ns if metrics is not None else 0
+    t_start = ctx.engine.clock.now_ns if metrics is not None else 0
 
     if not lib.tls_layout.frozen:
         lib.tls_layout.freeze()
@@ -108,8 +108,7 @@ def thread_create(func, arg: Any = None, flags: int = 0,
         waitable=waitable,
         bound=bound)
     thread.activity = Activity(_thread_body(lib, thread), name=f"t{tid}")
-    lib.threads[tid] = thread
-    lib.threads_created += 1
+    lib.add_thread(thread)
 
     if bound:
         # THREAD_BIND_LWP: "A new LWP is created and the new thread is
@@ -125,6 +124,7 @@ def thread_create(func, arg: Any = None, flags: int = 0,
             if lib.lwp_exhaust_policy == "raise":
                 # Undo the creation before surfacing the error.
                 lib.stack_alloc.release(thread.stack)
+                lib.mark_exited(thread)
                 lib.retire_id(thread)
                 lib.threads_created -= 1
                 raise
@@ -172,7 +172,7 @@ def thread_create(func, arg: Any = None, flags: int = 0,
         kind = "bound" if flags & THREAD_BIND_LWP else "unbound"
         metrics.count(f"threads.created.{kind}")
         metrics.observe(f"threads.create_ns.{kind}",
-                        ctx.engine.now_ns - t_start)
+                        ctx.engine.clock.now_ns - t_start)
     return tid
 
 
@@ -212,7 +212,7 @@ def _exit_impl(lib, thread: Thread):
     from repro.sync.events import sync_event
     sync_event(ctx, "thread-exit", None, thread=thread)
 
-    thread.exited = True
+    lib.mark_exited(thread)
     thread.exit_status = 0  # "The exit status of a thread is always zero."
     thread.state = ThreadState.ZOMBIE
     m = ctx.engine.metrics

@@ -68,7 +68,7 @@ def reclaim_crashed_thread(kernel, lib, thread, lwp=None) -> dict:
     m = engine.metrics
 
     thread.crashed = True
-    thread.exited = True
+    lib.mark_exited(thread)
     thread.exit_status = CRASHED_STATUS
     thread.state = ThreadState.ZOMBIE
 

@@ -178,7 +178,7 @@ def call_with_retry(attempt: Callable, policy: Optional[RetryPolicy] = None,
     engine = ctx.engine
     rng = engine.rng.stream(f"retry/{name}")
     m = engine.metrics
-    deadline_ns = (engine.now_ns + usec(policy.deadline_usec)
+    deadline_ns = (engine.clock.now_ns + usec(policy.deadline_usec)
                    if policy.deadline_usec is not None else None)
     tries = 0
     while True:
@@ -200,7 +200,7 @@ def call_with_retry(attempt: Callable, policy: Optional[RetryPolicy] = None,
                 raise
             delay = policy.delay_usec(tries, rng)
             if deadline_ns is not None:
-                remaining_usec = (deadline_ns - engine.now_ns) / 1000.0
+                remaining_usec = (deadline_ns - engine.clock.now_ns) / 1000.0
                 if remaining_usec <= 0.0:
                     if m is not None:
                         m.count("retry.deadline_expired")
@@ -232,14 +232,14 @@ def with_breaker(breaker: CircuitBreaker, attempt: Callable):
     ctx = yield GetContext()
     engine = ctx.engine
     m = engine.metrics
-    if not breaker.allow(engine.now_ns):
+    if not breaker.allow(engine.clock.now_ns):
         if m is not None:
             m.count("retry.breaker_rejected")
         raise SyscallError(Errno.EAGAIN, breaker.name, "circuit open")
     try:
         result = yield from attempt()
     except SyscallError:
-        breaker.on_failure(engine.now_ns)
+        breaker.on_failure(engine.clock.now_ns)
         if m is not None and breaker.state is CircuitBreaker.OPEN:
             m.count("retry.breaker_tripped")
         raise
@@ -259,9 +259,9 @@ def recv_with_deadline(fd: int, length: int, deadline_usec: float):
     """
     ctx = yield GetContext()
     engine = ctx.engine
-    deadline_ns = engine.now_ns + usec(deadline_usec)
+    deadline_ns = engine.clock.now_ns + usec(deadline_usec)
     while True:
-        remaining_ns = deadline_ns - engine.now_ns
+        remaining_ns = deadline_ns - engine.clock.now_ns
         if remaining_ns <= 0:
             m = engine.metrics
             if m is not None:

@@ -123,6 +123,7 @@ class ThreadsLibrary:
         self.engine = engine  # instrumentation only (traces, time reads)
 
         self.threads: dict[int, Thread] = {}
+        self._live = 0  # entries of self.threads not exited
         self._next_id = 1
         self._free_ids: list[int] = []
         self.runq = _ThreadRunQueue()
@@ -176,6 +177,18 @@ class ThreadsLibrary:
         self._next_id += 1
         return tid
 
+    def add_thread(self, thread: Thread) -> None:
+        """Register a new thread under its ID."""
+        self.threads[thread.thread_id] = thread
+        self.threads_created += 1
+        self._live += 1
+
+    def mark_exited(self, thread: Thread) -> None:
+        """Set ``thread.exited``: it stops counting as live."""
+        if not thread.exited:
+            thread.exited = True
+            self._live -= 1
+
     def retire_id(self, thread: Thread) -> None:
         """Make the ID reusable and drop the bookkeeping entry."""
         if self.threads.pop(thread.thread_id, None) is not None:
@@ -191,7 +204,9 @@ class ThreadsLibrary:
         return [self.threads[i] for i in sorted(self.threads)]
 
     def live_count(self) -> int:
-        return sum(1 for t in self.threads.values() if not t.exited)
+        """Registered threads that have not exited.  Kept as a count,
+        not a scan: every thread exit asks."""
+        return self._live
 
     # ================================================== LWP bookkeeping
 
@@ -212,7 +227,7 @@ class ThreadsLibrary:
         m = self.engine.metrics
         if m is not None and thread.ready_since_ns is not None:
             m.observe("threads.ready_wait_ns",
-                      self.engine.now_ns - thread.ready_since_ns)
+                      self.engine.clock.now_ns - thread.ready_since_ns)
             thread.ready_since_ns = None
         # The mask belongs to the thread; the library keeps the LWP's
         # kernel-visible mask in sync without a system call (the cached
@@ -246,7 +261,7 @@ class ThreadsLibrary:
             return self._collect_stop_waiter_unparks(thread)
         thread.state = ThreadState.RUNNABLE
         if self.engine.metrics is not None:
-            thread.ready_since_ns = self.engine.now_ns
+            thread.ready_since_ns = self.engine.clock.now_ns
         if thread.bound:
             # Its dedicated LWP is parked (or about to park): wake it.
             self.unparks_requested += 1
@@ -297,7 +312,7 @@ class ThreadsLibrary:
             return NO_SLEEP
         thread.state = ThreadState.SLEEPING
         thread.wait_queue = queue
-        thread.sleep_since_ns = self.engine.now_ns
+        thread.sleep_since_ns = self.engine.clock.now_ns
         queue.append(thread)
         value = yield from self._switch_away(ctx.lwp, thread)
         return value

@@ -179,7 +179,7 @@ class Supervisor:
     def heartbeat(self, spec: ChildSpec) -> None:
         """Plain call (yield-free): stamp the child alive for the
         watchdog.  Children call this between work items."""
-        spec.last_beat_ns = self._lib.engine.now_ns
+        spec.last_beat_ns = self._lib.engine.clock.now_ns
 
     def drain(self) -> None:
         """Stop supervising: no further restarts or watchdog kills.
@@ -217,7 +217,7 @@ class Supervisor:
             # creator got here; its exit already cleared the spec.
             return
         spec.thread = thread
-        spec.last_beat_ns = engine.now_ns
+        spec.last_beat_ns = engine.clock.now_ns
 
     def _on_child_exited(self, spec: ChildSpec) -> None:
         spec.done = True
@@ -305,8 +305,7 @@ class Supervisor:
                         sigmask=spec.sigmask.copy(),
                         waitable=spec.waitable, bound=False)
         thread.activity = Activity(_thread_body(lib, thread), name=f"t{tid}")
-        lib.threads[tid] = thread
-        lib.threads_created += 1
+        lib.add_thread(thread)
         self._adopt(spec, thread, engine)
         unparks = lib.make_runnable(thread)
         for lwp_id in unparks:
@@ -362,7 +361,7 @@ class Supervisor:
             self._watchdog_armed = False
             return
         timeout_ns = usec(self.heartbeat_timeout_usec)
-        now = engine.now_ns
+        now = engine.clock.now_ns
         for spec in list(self.children):
             thread = spec.thread
             if thread is None or spec.last_beat_ns is None:

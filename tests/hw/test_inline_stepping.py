@@ -1,14 +1,15 @@
-"""Differential test of inline stepping.
+"""Differential test of step slots.
 
-A CPU's step loop (``CPU._run_steps``) runs the CPU's next step in place
-while it sorts strictly before every queued event, instead of pushing it
-on the event queue.  That must change host cost only.  Each scenario
-here runs twice: inline, as shipped, and with every step forced through
-the heap, by making the loop's ``_in_loop`` flag read False so that
-``_schedule_step`` always pushes.  The two runs must agree on every
-trace record (all categories, detail included), on the
-``(now_ns, cpu, lwp)`` of every ``CPU._step`` call, on events fired and
-on each CPU's busy, user and kernel time.
+A CPU never queues its next step: ``CPU._schedule_step`` parks the
+step's ``(time_ns, seq)`` in the CPU's one-step slot, and the engine
+runs it in place, merged with the event heap in ``(time, seq)`` order.
+That must change host cost only.  Each scenario here runs twice: with
+slots, as shipped, and with every step pushed on the heap as an
+``Event`` under the seq the slot would have reserved (the reference is
+local to this test).  The two runs must agree on every trace record
+(all categories, detail included), on the ``(now_ns, cpu, lwp)`` of
+every ``CPU._step`` call, on events fired, the clock, and each CPU's
+busy, user and kernel time.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.explore.corpus import BUGGY, CLEAN
 from repro.explore.explorer import default_plan_dicts, run_one
 from repro.hw.cpu import CPU
 from repro.load.bakeoff import ARCHITECTURES, run_arch
+from repro.sim.events import EventQueue
 from repro.workloads import window_system
 
 _PLANS = default_plan_dicts(3)
@@ -43,10 +45,10 @@ def _bakeoff_run(arch):
     return run_arch(arch, SPEC, with_digest=True)
 
 
-def _window_system_run(seed):
+def _window_system_run(ncpus, seed=3):
     main, results = window_system.build(n_widgets=20, n_events=200,
                                         seed=seed)
-    sim = Simulator(ncpus=2, seed=seed)
+    sim = Simulator(ncpus=ncpus, seed=seed)
     sim.spawn(main, name="winsys")
     sim.run()
     return dict(results)
@@ -57,7 +59,8 @@ SCENARIOS = (
      for name in sorted(_CORPUS)]
     + [pytest.param(_bakeoff_run, arch, id=f"bakeoff-{arch}")
        for arch in ARCHITECTURES]
-    + [pytest.param(_window_system_run, 3, id="window_system")])
+    + [pytest.param(_window_system_run, 2, id="window_system"),
+       pytest.param(_window_system_run, 4, id="window_system-4cpu")])
 
 
 def _record(record):
@@ -67,11 +70,12 @@ def _record(record):
 
 def _observe(monkeypatch, scenario, arg):
     """Run ``scenario(arg)`` with full tracing on every simulator it
-    builds; return everything the two modes must agree on."""
+    builds; return everything the two modes must agree on, and the
+    number of events pushed on any queue."""
     sims, steps, pushes = [], [], [0]
     sim_init = Simulator.__init__
     step = CPU._step
-    push_step = CPU._push_step
+    push = EventQueue.push
 
     def traced_init(self, *args, **kwargs):
         kwargs.update(trace=True, trace_categories=None, trace_store=True)
@@ -84,14 +88,14 @@ def _observe(monkeypatch, scenario, arg):
                       lwp.name if lwp is not None else None))
         step(cpu)
 
-    def counted_push(cpu, t, seq):
+    def counted_push(queue, *args, **kwargs):
         pushes[0] += 1
-        push_step(cpu, t, seq)
+        return push(queue, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(Simulator, "__init__", traced_init)
         m.setattr(CPU, "_step", logged_step)
-        m.setattr(CPU, "_push_step", counted_push)
+        m.setattr(EventQueue, "push", counted_push)
         result = scenario(arg)
     per_sim = [
         ([_record(r) for r in sim.tracer.records], sim.engine.events_fired,
@@ -103,19 +107,36 @@ def _observe(monkeypatch, scenario, arg):
 
 
 def _heap_only(monkeypatch):
-    """Force the heap path: the step loop's flag never reads True."""
-    monkeypatch.setattr(CPU, "_in_loop",
-                        property(lambda cpu: False, lambda cpu, v: None),
-                        raising=False)
+    """The reference: every step is an ``Event`` on the heap, pushed
+    under the seq ``_schedule_step`` would reserve, and a cancelled step
+    is a cancelled event.  The slot stays empty.  Returns a one-item
+    list counting the steps scheduled."""
+    scheduled = [0]
+
+    def cancel_step(cpu):
+        cpu._next_step = None
+        ev = cpu.__dict__.pop("_step_event", None)
+        if ev is not None:
+            cpu.engine.cancel(ev)
+
+    def schedule_step(cpu, delay_ns):
+        scheduled[0] += 1
+        cancel_step(cpu)
+        cpu._step_event = cpu._queue.push(cpu._clock.now_ns + delay_ns,
+                                          cpu._step)
+
+    monkeypatch.setattr(CPU, "_schedule_step", schedule_step)
+    monkeypatch.setattr(CPU, "_cancel_step", cancel_step)
+    return scheduled
 
 
 @pytest.mark.parametrize("scenario,arg", SCENARIOS)
 def test_inline_matches_heap_path(monkeypatch, scenario, arg):
-    inline = _observe(monkeypatch, scenario, arg)
+    slots = _observe(monkeypatch, scenario, arg)
     with monkeypatch.context() as m:
-        _heap_only(m)
+        scheduled = _heap_only(m)
         heap = _observe(m, scenario, arg)
-    result, per_sim, steps, inline_pushes = inline
+    result, per_sim, steps, slot_pushes = slots
     h_result, h_per_sim, h_steps, heap_pushes = heap
     assert per_sim and len(per_sim) == len(h_per_sim)
     for (recs, fired, now, cpus), (h_recs, h_fired, h_now, h_cpus) in zip(
@@ -124,6 +145,7 @@ def test_inline_matches_heap_path(monkeypatch, scenario, arg):
         assert (fired, now, cpus) == (h_fired, h_now, h_cpus)
     assert steps == h_steps
     assert result == h_result
-    # The inline run must have kept some steps off the heap, or this
-    # test compares the heap path with itself.
-    assert inline_pushes < heap_pushes
+    # Every step went through the heap in the reference and none did
+    # with slots; otherwise this test compares a path with itself.
+    assert scheduled[0] > 0
+    assert heap_pushes - slot_pushes == scheduled[0]

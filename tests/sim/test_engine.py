@@ -207,6 +207,147 @@ class TestDeadlockProbe:
         eng.run(check_deadlock=False)  # no raise
 
 
+class Stepper:
+    """A minimal step source: a ``_next_step`` slot and a ``_step()``.
+
+    Each step logs ``(name, now_ns)`` and runs the next action from
+    ``script``: a delay to schedule the following step, or a callable
+    run in its place (it may raise or schedule by itself).
+    """
+
+    def __init__(self, eng, name, log, script=()):
+        self.eng, self.name, self.log = eng, name, log
+        self.script = list(script)
+        self._next_step = None
+        eng.step_sources.append(self)
+
+    def schedule(self, delay_ns):
+        q = self.eng.queue
+        seq = q._seq
+        q._seq = seq + 1
+        self._next_step = (self.eng.now_ns + delay_ns, seq)
+
+    def _step(self):
+        self.log.append((self.name, self.eng.now_ns))
+        if self.script:
+            action = self.script.pop(0)
+            if callable(action):
+                action()
+            else:
+                self.schedule(action)
+
+
+class TestStepSlots:
+    @pytest.mark.parametrize("event_first,order", [
+        (True, ["event", "step"]), (False, ["step", "event"])])
+    def test_slot_and_event_at_equal_time_keep_seq_order(self, event_first,
+                                                        order):
+        eng, log = Engine(), []
+        cpu = Stepper(eng, "step", log)
+        if event_first:
+            eng.call_at(10, lambda: log.append(("event", eng.now_ns)))
+        cpu.schedule(10)
+        if not event_first:
+            eng.call_at(10, lambda: log.append(("event", eng.now_ns)))
+        assert eng.run() == 2
+        assert log == [(name, 10) for name in order]
+
+    def test_two_slots_at_equal_time_keep_seq_order(self):
+        eng, log = Engine(), []
+        late = Stepper(eng, "late", log)     # registered first
+        early = Stepper(eng, "early", log)
+        early.schedule(5)
+        late.schedule(5)
+        eng.run()
+        assert log == [("early", 5), ("late", 5)]
+
+    def test_same_source_runs_until_another_sorts_first(self):
+        eng, log = Engine(), []
+        a = Stepper(eng, "a", log, script=[1, 1, 1])
+        b = Stepper(eng, "b", log, script=[10])
+        a.schedule(0)
+        b.schedule(2)
+        eng.call_at(1, lambda: log.append(("event", eng.now_ns)))
+        assert eng.run() == 7
+        # At t=2, b's step was reserved before a's, so it goes first.
+        assert log == [("a", 0), ("event", 1), ("a", 1), ("b", 2),
+                       ("a", 2), ("a", 3), ("b", 12)]
+
+    def _parked(self, seen):
+        eng = Engine()
+        cpu = Stepper(eng, "cpu", seen, script=[7] * 9)
+        cpu.schedule(3)
+        eng.call_at(20, lambda: seen.append(("event", eng.now_ns)))
+        return eng
+
+    def test_slot_past_until_then_run_equals_one_run(self):
+        seen_one = []
+        one = self._parked(seen_one)
+        fired_one = one.run()
+        seen_split = []
+        split = self._parked(seen_split)
+        fired_split = split.run(until_ns=16)
+        # The slot (at 17) is parked past the horizon: the clock stops
+        # at until_ns and the step runs in the next call.
+        assert split.now_ns == 16
+        assert seen_split == [("cpu", 3), ("cpu", 10)]
+        fired_split += split.run(until_ns=20) + split.run()
+        assert seen_split == seen_one
+        assert fired_split == fired_one == split.events_fired == 11
+        assert split.now_ns == one.now_ns == 66
+
+    def test_max_events_counts_steps_exactly(self):
+        eng, log = Engine(), []
+        cpu = Stepper(eng, "cpu", log, script=[1] * 1_000)
+        cpu.schedule(0)
+        with pytest.raises(SimulationError,
+                           match=r"max_events=100 exhausted at t=0\.1us"):
+            eng.run(max_events=100)
+        assert eng.events_fired == len(log) == 100
+        assert eng.now_ns == 99
+
+    def test_raising_step_is_not_counted(self):
+        def boom():
+            raise RuntimeError("boom")
+
+        eng, log = Engine(), []
+        cpu = Stepper(eng, "cpu", log, script=[1, boom])
+        cpu.schedule(0)
+        with pytest.raises(RuntimeError):
+            eng.run()
+        assert len(log) == 2
+        assert eng.events_fired == 1
+
+    def test_cleared_slot_never_runs(self):
+        eng, log = Engine(), []
+        cpu = Stepper(eng, "cpu", log)
+        cpu.schedule(10)
+
+        def clear():
+            cpu._next_step = None
+
+        eng.call_at(5, clear)
+        assert eng.run() == 1
+        assert log == []
+        assert eng.now_ns == 5
+
+    def test_deadlock_check_waits_for_every_slot(self):
+        eng, log, probes = Engine(), [], []
+        a = Stepper(eng, "a", log, script=[4])
+        b = Stepper(eng, "b", log)
+        a.schedule(0)
+        b.schedule(3)
+
+        def idle_check():
+            probes.append(list(log))
+            return "stuck"
+
+        eng.idle_check = idle_check
+        with pytest.raises(DeadlockError, match="stuck"):
+            eng.run()
+        assert probes == [[("a", 0), ("b", 3), ("a", 4)]]
+
+
 class TestDeterminism:
     def test_same_seed_same_order(self):
         def trace_run():

@@ -68,7 +68,8 @@ class TestCancellation:
 
 
 class TestPopNext:
-    """The fused pop used by the engine run loop."""
+    """The queue's one pop, used by the engine run loop (and by pop and
+    peek_time)."""
 
     def test_pops_in_order(self):
         q = EventQueue()
@@ -117,6 +118,21 @@ class TestPopNext:
         q.push(200, lambda: None)
         early.cancel()
         assert q.pop_next(until_ns=100) == (200, None)
+
+    def test_before_bound_orders_by_time_then_seq(self):
+        # ``before`` is a reserved (time, seq) key, such as a CPU's
+        # pending step: only an entry sorting before it pops.
+        q = EventQueue()
+        ev = q.push(100, lambda: None)          # seq 0
+        assert q.pop_next(before=(100, 0)) == (100, None)
+        assert q.pop_next(before=(99, 5)) == (100, None)
+        assert q.pop_next(before=(100, 1)) == (100, ev)
+
+    def test_before_bound_with_until(self):
+        q = EventQueue()
+        ev = q.push(100, lambda: None)
+        assert q.pop_next(until_ns=99, before=(200, 9)) == (100, None)
+        assert q.pop_next(until_ns=100, before=(200, 9)) == (100, ev)
 
     def test_live_count_tracks_pop_next(self):
         q = EventQueue()

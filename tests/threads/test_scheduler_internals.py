@@ -3,8 +3,8 @@
 import pytest
 
 from repro.hw.isa import GetContext
-from repro.runtime import unistd
-from repro.threads.scheduler import (KEEP_VALUE, NO_SLEEP,
+from repro.runtime import libc, unistd
+from repro.threads.scheduler import (KEEP_VALUE, NO_SLEEP, ThreadsLibrary,
                                      _ThreadRunQueue)
 from repro.threads.thread import Thread, ThreadState
 from repro import threads
@@ -73,6 +73,65 @@ class TestLibraryBookkeeping:
         lib.threads[a] = T()
         lib.retire_id(T())
         assert lib.new_thread_id() == a  # recycled
+
+    def test_live_count_matches_a_scan(self, monkeypatch):
+        # live_count() is a kept count, not a scan: after every change
+        # to the thread table or to a thread's exited flag it must
+        # equal the scan, through create, exit, crash reclaim and fork1.
+        checks, libs = [0], []
+
+        def scanned(lib):
+            return sum(1 for t in lib.threads.values() if not t.exited)
+
+        def checked(method):
+            def wrapper(lib, thread):
+                method(lib, thread)
+                assert lib.live_count() == scanned(lib)
+                checks[0] += 1
+                if lib not in libs:
+                    libs.append(lib)
+            return wrapper
+
+        for name in ("add_thread", "mark_exited", "retire_id"):
+            monkeypatch.setattr(ThreadsLibrary, name,
+                                checked(getattr(ThreadsLibrary, name)))
+
+        def worker(_):
+            yield from libc.compute(100.0)
+
+        def sleeper(_):
+            while True:
+                yield from libc.compute(500.0)
+
+        def child_main():
+            tid = yield from threads.thread_create(
+                worker, None, flags=threads.THREAD_WAIT)
+            yield from threads.thread_wait(tid)
+
+        def main():
+            ctx = yield GetContext()
+            waited = []
+            for flags in (0, threads.THREAD_WAIT,
+                          threads.THREAD_WAIT | threads.THREAD_BIND_LWP):
+                tid = yield from threads.thread_create(worker, None,
+                                                       flags=flags)
+                if flags & threads.THREAD_WAIT:
+                    waited.append(tid)
+            for tid in waited:
+                yield from threads.thread_wait(tid)
+            tid = yield from threads.thread_create(
+                sleeper, None, flags=threads.THREAD_BIND_LWP)
+            victim = ctx.process.threadlib.get_thread(tid)
+            yield from libc.compute(1_000.0)
+            ctx.kernel.crash_lwp(victim.lwp)
+            yield from libc.compute(1_000.0)
+            assert victim.crashed
+            pid = yield from unistd.fork1(child_main)
+            yield from unistd.waitpid(pid)
+
+        run_program(main, ncpus=2)
+        assert len(libs) == 2          # the parent's and the child's
+        assert checks[0] >= 15
 
     def test_retire_unknown_id_harmless(self):
         lib = self._lib()
