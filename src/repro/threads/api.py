@@ -65,7 +65,8 @@ def current_thread():
 # ====================================================================
 
 def thread_create(func, arg: Any = None, flags: int = 0,
-                  stack_addr: Optional[int] = None, stack_size: int = 0):
+                  stack_addr: Optional[int] = None, stack_size: int = 0,
+                  name: Optional[str] = None):
     """Create a new thread executing ``func(arg)``; returns its ID.
 
     Flags are the paper's: THREAD_STOP (created suspended),
@@ -75,6 +76,10 @@ def thread_create(func, arg: Any = None, flags: int = 0,
 
     "The initial thread priority and signal mask is set to the same values
     as its creator."  If ``func`` returns, the thread exits.
+
+    ``name`` (a simulator addition, like ``pthread_setname_np``) labels
+    the thread from birth, for fault-plan target globs and reports; it
+    issues no effect.
     """
     ctx = yield GetContext()
     lib = ctx.process.threadlib
@@ -107,6 +112,8 @@ def thread_create(func, arg: Any = None, flags: int = 0,
         sigmask=creator.sigmask.copy(),
         waitable=waitable,
         bound=bound)
+    if name is not None:
+        thread.name = name
     thread.activity = Activity(_thread_body(lib, thread), name=f"t{tid}")
     lib.add_thread(thread)
 

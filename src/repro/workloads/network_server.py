@@ -25,6 +25,13 @@ response.  The server offers three architectures:
 :func:`build` forks real client processes (the self-contained workload
 form); :func:`build_server` is the server half alone, for the open-loop
 load generator in :mod:`repro.load` to drive at 10^5–10^6 clients.
+Both run one server core (:func:`_server`): the same worker, handler,
+acceptor, pool spawn and drain.  They differ only in where clients come
+from and what retires the listener, and only :func:`build` offers
+supervision.  Pool workers are named ``worker-<i>`` from birth, so a
+``CrashStorm`` targeting ``worker-*`` finds them however it is attached.
+Thread-per-conn handlers are detached; the drain waits until as many
+have finished as were spawned.
 
 Every admitted request is accounted for on a ledger
 (:func:`repro.sync.events.sync_event` ops ``net-admit`` /
@@ -46,11 +53,12 @@ mutated between yields, so it is always structurally sound).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.errors import Errno, SyscallError
 from repro.hw.isa import GetContext
 from repro.kernel.fs.file import O_CREAT, O_NONBLOCK, O_RDWR
+from repro.kernel.signals import SIG_IGN, Sig
 from repro.runtime import libc, unistd
 from repro.sync import CondVar, Mutex
 from repro.sync.events import sync_event
@@ -76,8 +84,8 @@ def _note(op: str, rid: str, **detail):
 
 
 # ---------------------------------------------------------------------
-# Shared server plumbing (used by build() and build_server() alike —
-# every architecture reads, serves, sheds, and closes the same way).
+# Shared server plumbing: every architecture reads, serves, sheds, and
+# closes the same way.
 # ---------------------------------------------------------------------
 
 def _enter_robust(m):
@@ -270,6 +278,332 @@ def _fill_results(results: dict, stats: dict, start: int, end: int,
         ctx.process.threadlib.lwps_grown_by_sigwaiting)
 
 
+def _new_stats() -> dict:
+    return {"admitted": 0, "served": 0, "shed": 0, "latency_ns": 0,
+            "client_ok": 0, "client_giveups": 0, "client_retries": 0}
+
+
+def _server(stats: dict, *, mode: str, n_workers: int,
+            service_compute_usec: float, backlog: int,
+            admission_limit: int, shed: str, port: int,
+            clients: Optional[tuple[Callable, int]] = None,
+            supervise: bool = False, max_restarts: int = 6,
+            heartbeat_timeout_usec=None,
+            crash_storm=None) -> tuple[Callable, dict]:
+    """The one server core behind :func:`build` and :func:`build_server`.
+
+    ``clients`` is the client source and, with it, the termination
+    trigger.  A ``(body, n)`` pair forks ``n`` client processes running
+    ``body(client_id)``, joins them and then retires the listener.
+    ``None`` serves whatever arrives until something outside (the load
+    driver) retires it.  Supervision and ``crash_storm`` are only ever
+    set by :func:`build`.
+    """
+    if mode not in ("pool", "thread-per-conn", "event-loop"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if shed not in ("reject-newest", "oldest"):
+        raise ValueError(f"unknown shed policy {shed!r}")
+    if supervise and mode != "pool":
+        raise ValueError("supervise=True requires mode='pool'")
+    results: dict = {}
+
+    def main():
+        # A server that writes to clients that may hang up must not die
+        # on the first disappointment.
+        yield from unistd.sigaction(int(Sig.SIGPIPE), SIG_IGN)
+        if crash_storm is not None:
+            # Self-contained chaos: the program carries its own storm
+            # (the regression-corpus form).  An externally attached plan
+            # wins — explore passes faults through the run config.
+            ctx = yield GetContext()
+            if ctx.kernel.faults is None:
+                from repro.sim.faults import CrashStorm, FaultPlan
+                FaultPlan([CrashStorm(**crash_storm)]).attach(ctx.kernel)
+        datafd = yield from unistd.open("/tmp/server.data",
+                                        O_CREAT | O_RDWR)
+        yield from unistd.write(datafd, b"x" * 4096)
+
+        # The event loop accept-drains on readiness, so its listener
+        # must be nonblocking.
+        lfd = yield from (unistd.socket(O_NONBLOCK) if mode == "event-loop"
+                          else unistd.socket())
+        yield from unistd.bind(lfd, port)
+        yield from unistd.listen(lfd, backlog)
+
+        def fork_clients():
+            """The load begins: read the clock, fork the clients."""
+            body, n = clients
+            start = yield from unistd.gettimeofday()
+            pids = []
+            for c in range(n):
+                pids.append((yield from unistd.fork1(body, c)))
+            return start, pids
+
+        def retire(pids):
+            """Join the clients, then retire the listener: the acceptor's
+            pending accept aborts, the event loop's select() sees EBADF."""
+            for pid in pids:
+                yield from unistd.waitpid(pid)
+            yield from _close_quiet(lfd)
+
+        if clients is None:
+            # The driver's arrivals may start at any moment from here.
+            start = yield from unistd.gettimeofday()
+        if mode == "event-loop":
+            # Single-LWP server: the main thread *is* the event loop.
+            # Forked clients are joined by a reaper on its own LWP.
+            reaper_tid = None
+            if clients is not None:
+                start, pids = yield from fork_clients()
+                reaper_tid = yield from threads.thread_create(
+                    retire, pids,
+                    flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
+            yield from _event_loop(lfd, datafd, stats,
+                                   service_compute_usec)
+            if reaper_tid is not None:
+                yield from threads.thread_wait(reaper_tid)
+            end = yield from unistd.gettimeofday()
+            yield from unistd.close(datafd)
+            _fill_results(results, stats, start, end,
+                          (yield GetContext()))
+            return
+
+        # Admission queue feeding the worker pool (pool mode).
+        queue: deque = deque()
+        qmutex = Mutex(name="srv.qm")
+        qcv = CondVar(name="srv.qcv")
+        # Thread-per-conn: a cap on concurrent handlers, and completion
+        # counts.  Handlers are detached, so the drain waits for
+        # spawned == finished instead of joining tids: joining 10^5
+        # zombie threads at drain time would hold every dead handler
+        # alive for the whole run.
+        active = {"handlers": 0, "spawned": 0, "finished": 0}
+        # Crash containment (supervised mode): worker-name → in-flight
+        # item.  Written in the same atomic block as the queue pop, so
+        # from admission to disposal every request is reachable either
+        # from the queue or from this dict — that invariant is what the
+        # crash-recovery handover and the end-of-run sweep rely on.
+        sup = None
+        wspecs: dict = {}
+        inflight: dict = {}
+
+        def worker(_):
+            while True:
+                yield from _enter_robust(qmutex)
+                while not queue:
+                    if (yield from qcv.wait(qmutex)):
+                        qmutex.consistent()
+                item = queue.popleft()
+                yield from qmutex.exit()
+                if item is None:
+                    return
+                conn, rid, enq_ns = item
+                yield from _serve(conn, rid, enq_ns, datafd, stats,
+                                  service_compute_usec)
+
+        def sworker(handover):
+            """Supervised worker: first serve the crashed predecessor's
+            in-flight item (``handover``), then pull from the queue."""
+            ctx = yield GetContext()
+            me = ctx.thread
+            item = handover
+            while True:
+                if item is None:
+                    yield from _enter_robust(qmutex)
+                    while not queue:
+                        if (yield from qcv.wait(qmutex)):
+                            qmutex.consistent()
+                    item = queue.popleft()
+                    if item is not None:
+                        inflight[me.name] = item
+                    yield from qmutex.exit()
+                    if item is None:
+                        return  # poison: graceful drain
+                else:
+                    inflight[me.name] = item
+                if sup is not None:
+                    sup.heartbeat(wspecs[me.name])
+                conn, rid, enq_ns = item
+                yield from _serve(conn, rid, enq_ns, datafd, stats,
+                                  service_compute_usec)
+                inflight.pop(me.name, None)
+                item = None
+
+        def handler(conn):
+            rid_raw = yield from _read_request(conn)
+            if rid_raw is not None:
+                rid = rid_raw.decode()
+                yield from _enter_robust(qmutex)
+                over = active["handlers"] >= admission_limit
+                if not over:
+                    active["handlers"] += 1
+                yield from qmutex.exit()
+                if over:
+                    yield from _reject(conn, rid, "handler-cap", stats)
+                else:
+                    now = yield from unistd.gettimeofday()
+                    stats["admitted"] += 1
+                    yield from _note("net-admit", rid, mode=mode)
+                    yield from _serve(conn, rid, now, datafd, stats,
+                                      service_compute_usec)
+                    yield from _enter_robust(qmutex)
+                    active["handlers"] -= 1
+                    yield from qmutex.exit()
+            else:
+                yield from _close_quiet(conn)
+            yield from _enter_robust(qmutex)
+            active["finished"] += 1
+            yield from qcv.broadcast()
+            yield from qmutex.exit()
+
+        def acceptor(_):
+            while True:
+                try:
+                    conn = yield from unistd.accept(lfd)
+                except SyscallError as err:
+                    if err.errno == Errno.EINTR:
+                        continue  # a sibling LWP forked a client
+                    if err.errno in (Errno.ECONNABORTED, Errno.EBADF,
+                                     Errno.EINVAL):
+                        break  # listener retired: drain and exit
+                    if err.errno in (Errno.EMFILE, Errno.ENFILE):
+                        # fd table full: let in-flight handlers close
+                        # their conns, then drain the backlog.
+                        yield from unistd.sleep_usec(500.0)
+                        continue
+                    raise
+                m = (yield GetContext()).engine.metrics
+                if m is not None:
+                    m.count("server.accepts")
+                if mode == "thread-per-conn":
+                    active["spawned"] += 1
+                    yield from threads.thread_create(handler, conn)
+                    continue
+                rid_raw = yield from _read_request(conn)
+                if rid_raw is None:
+                    yield from _close_quiet(conn)
+                    continue
+                rid = rid_raw.decode()
+                now = yield from unistd.gettimeofday()
+                # The admit ledger event goes out *before* the request
+                # becomes visible to workers (still under the queue
+                # mutex), so no schedule can serve an unadmitted id.
+                yield from _enter_robust(qmutex)
+                if len(queue) >= admission_limit:
+                    if shed == "oldest":
+                        old = queue.popleft()
+                        stats["admitted"] += 1
+                        yield from _note("net-admit", rid, mode=mode)
+                        queue.append((conn, rid, now))
+                        yield from qcv.signal()
+                        yield from qmutex.exit()
+                        yield from _reject(old[0], old[1], "shed-oldest",
+                                           stats)
+                    else:
+                        yield from qmutex.exit()
+                        yield from _reject(conn, rid, "reject-newest",
+                                           stats)
+                    continue
+                stats["admitted"] += 1
+                yield from _note("net-admit", rid, mode=mode)
+                queue.append((conn, rid, now))
+                yield from qcv.signal()
+                yield from qmutex.exit()
+
+        worker_tids = []
+        if mode == "thread-per-conn":
+            # Handlers are unbound, so give the pool enough LWPs up front
+            # (the paper's thread_setconcurrency hint); SIGWAITING still
+            # grows it when every one of these blocks in the kernel.
+            yield from threads.thread_setconcurrency(n_workers + 1)
+        elif supervise:
+            from repro.threads.supervisor import Supervisor
+
+            def handover_arg(spec, dead):
+                # Kernel context (crash time): pull the victim's
+                # in-flight request; the replacement serves it first.
+                return inflight.pop(spec.name, None)
+
+            sup = Supervisor(max_restarts=max_restarts,
+                             restart_arg=handover_arg,
+                             heartbeat_timeout_usec=heartbeat_timeout_usec,
+                             name="srv-sup")
+            for i in range(n_workers):
+                spec = yield from sup.spawn(
+                    sworker, None, name=f"worker-{i}",
+                    flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
+                wspecs[spec.name] = spec
+        else:
+            # Workers are named from birth, so a crash storm's target
+            # glob finds them.  The two bare context fetches read
+            # nothing.  They keep the step counts BENCH_PERF.json pins
+            # for the load-driven server and the storm-carrying corpus
+            # server, which once named their workers through a context.
+            if clients is None:
+                yield GetContext()
+            for i in range(n_workers):
+                worker_tids.append((yield from threads.thread_create(
+                    worker, None, name=f"worker-{i}",
+                    flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)))
+            if crash_storm is not None:
+                yield GetContext()
+        acceptor_tid = yield from threads.thread_create(
+            acceptor, None,
+            flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
+        if clients is not None:
+            start, pids = yield from fork_clients()
+            yield from retire(pids)
+        yield from threads.thread_wait(acceptor_tid)
+
+        # The listener is retired and the acceptor gone: drain.  Queued,
+        # already-admitted requests are served before the poison — FIFO
+        # order guarantees no admitted request is ever dropped.
+        if mode == "thread-per-conn":
+            yield from _enter_robust(qmutex)
+            while active["finished"] < active["spawned"]:
+                if (yield from qcv.wait(qmutex)):
+                    qmutex.consistent()
+            yield from qmutex.exit()
+        elif supervise:
+            # Graceful drain: stop restarts *first*, then poison exactly
+            # the children still alive.  A crash from here on stays dead.
+            sup.drain()
+            yield from _enter_robust(qmutex)
+            live = [s for s in sup.children if s.thread is not None]
+            for _ in live:
+                queue.append(None)
+            yield from qcv.broadcast()
+            yield from qmutex.exit()
+            for spec in live:
+                t = spec.thread
+                if t is not None:
+                    yield from threads.thread_wait(t.thread_id)
+            # Requests the supervisor could not recover — a give-up, or
+            # a crash whose restart this drain pre-empted — are shed
+            # explicitly so the ledger still balances.
+            for wname in sorted(inflight):
+                conn, rid, _enq = inflight.pop(wname)
+                yield from _reject(conn, rid, "crash-unrecovered", stats)
+        else:
+            yield from _enter_robust(qmutex)
+            for _ in worker_tids:
+                queue.append(None)
+            yield from qcv.broadcast()
+            yield from qmutex.exit()
+            for tid in worker_tids:
+                yield from threads.thread_wait(tid)
+        end = yield from unistd.gettimeofday()
+        yield from unistd.close(datafd)
+        _fill_results(results, stats, start, end, (yield GetContext()))
+        if supervise:
+            results["worker_restarts"] = sum(
+                s.restarts for s in sup.children)
+            results["worker_give_ups"] = sum(
+                1 for s in sup.children if s.gave_up)
+
+    return main, results
+
+
 def build(n_clients: int = 3, requests_per_client: int = 10,
           n_workers: int = 4,
           service_compute_usec: float = 300.0,
@@ -293,17 +627,7 @@ def build(n_clients: int = 3, requests_per_client: int = 10,
     its own kernel at startup (unless a fault plan is already attached)
     — the self-contained form the regression corpus uses.
     """
-    if mode not in ("pool", "thread-per-conn", "event-loop"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if shed not in ("reject-newest", "oldest"):
-        raise ValueError(f"unknown shed policy {shed!r}")
-    if supervise and mode != "pool":
-        raise ValueError("supervise=True requires mode='pool'")
-    results: dict = {}
-    stats = {"admitted": 0, "served": 0, "shed": 0, "latency_ns": 0,
-             "client_ok": 0, "client_giveups": 0, "client_retries": 0}
-
-    # ------------------------------------------------------------ client
+    stats = _new_stats()
 
     def client(client_id: int):
         policy = retry.RetryPolicy(
@@ -311,7 +635,6 @@ def build(n_clients: int = 3, requests_per_client: int = 10,
             max_delay_usec=10_000.0,
             retry_on={Errno.ECONNREFUSED, Errno.ETIMEDOUT,
                       Errno.ECONNRESET, Errno.EAGAIN, Errno.EINTR})
-        from repro.kernel.signals import SIG_IGN, Sig
         yield from unistd.sigaction(int(Sig.SIGPIPE), SIG_IGN)
         ctx = yield GetContext()
         rng = ctx.engine.rng.stream(f"netclient/{client_id}")
@@ -347,295 +670,13 @@ def build(n_clients: int = 3, requests_per_client: int = 10,
             else:
                 stats["client_giveups"] += 1
 
-    # ------------------------------------------------- server: the pool
-
-
-    def reject(conn: int, rid: str, reason: str):
-        yield from _reject(conn, rid, reason, stats)
-
-    def serve(conn: int, rid: str, enq_ns: int, datafd: int):
-        yield from _serve(conn, rid, enq_ns, datafd, stats,
-                          service_compute_usec)
-
-    def main():
-        # A server that writes to clients that may hang up must not die
-        # on the first disappointment.
-        from repro.kernel.signals import SIG_IGN, Sig
-        yield from unistd.sigaction(int(Sig.SIGPIPE), SIG_IGN)
-        if crash_storm is not None:
-            # Self-contained chaos: the program carries its own storm
-            # (the regression-corpus form).  An externally attached plan
-            # wins — explore passes faults through the run config.
-            ctx = yield GetContext()
-            if ctx.kernel.faults is None:
-                from repro.sim.faults import CrashStorm, FaultPlan
-                FaultPlan([CrashStorm(**crash_storm)]).attach(ctx.kernel)
-        datafd = yield from unistd.open("/tmp/server.data",
-                                        O_CREAT | O_RDWR)
-        yield from unistd.write(datafd, b"x" * 4096)
-
-        if mode == "event-loop":
-            # The event loop accept-drains on readiness, so the
-            # listener must be nonblocking.
-            lfd = yield from unistd.socket(O_NONBLOCK)
-        else:
-            lfd = yield from unistd.socket()
-        yield from unistd.bind(lfd, port)
-        yield from unistd.listen(lfd, backlog)
-
-        if mode == "event-loop":
-            # Single-LWP server: the main thread *is* the event loop.
-            # A reaper on its own LWP joins the client processes and
-            # then retires the listener, which is what tells the loop
-            # to drain and exit.
-            start = yield from unistd.gettimeofday()
-            pids = []
-            for c in range(n_clients):
-                pids.append((yield from unistd.fork1(client, c)))
-
-            def reaper(_):
-                for pid in pids:
-                    yield from unistd.waitpid(pid)
-                yield from _close_quiet(lfd)
-
-            reaper_tid = yield from threads.thread_create(
-                reaper, None,
-                flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
-            yield from _event_loop(lfd, datafd, stats,
-                                   service_compute_usec)
-            yield from threads.thread_wait(reaper_tid)
-            end = yield from unistd.gettimeofday()
-            yield from unistd.close(datafd)
-            _fill_results(results, stats, start, end,
-                          (yield GetContext()))
-            return
-
-        # Admission queue feeding the worker pool (pool mode).
-        queue: deque = deque()
-        qmutex = Mutex(name="srv.qm")
-        qcv = CondVar(name="srv.qcv")
-        # Concurrent-handler cap (thread-per-conn mode).
-        active = {"handlers": 0}
-        # Crash containment (supervised mode): worker-name → in-flight
-        # item.  Written in the same atomic block as the queue pop, so
-        # from admission to disposal every request is reachable either
-        # from the queue or from this dict — that invariant is what the
-        # crash-recovery handover and the end-of-run sweep rely on.
-        sup = None
-        wspecs: dict = {}
-        inflight: dict = {}
-
-        def worker(_):
-            while True:
-                yield from _enter_robust(qmutex)
-                while not queue:
-                    if (yield from qcv.wait(qmutex)):
-                        qmutex.consistent()
-                item = queue.popleft()
-                yield from qmutex.exit()
-                if item is None:
-                    return
-                conn, rid, enq_ns = item
-                yield from serve(conn, rid, enq_ns, datafd)
-
-        def sworker(handover):
-            """Supervised worker: first serve the crashed predecessor's
-            in-flight item (``handover``), then pull from the queue."""
-            ctx = yield GetContext()
-            me = ctx.thread
-            item = handover
-            while True:
-                if item is None:
-                    yield from _enter_robust(qmutex)
-                    while not queue:
-                        if (yield from qcv.wait(qmutex)):
-                            qmutex.consistent()
-                    item = queue.popleft()
-                    if item is not None:
-                        inflight[me.name] = item
-                    yield from qmutex.exit()
-                    if item is None:
-                        return  # poison: graceful drain
-                else:
-                    inflight[me.name] = item
-                if sup is not None:
-                    sup.heartbeat(wspecs[me.name])
-                conn, rid, enq_ns = item
-                yield from serve(conn, rid, enq_ns, datafd)
-                inflight.pop(me.name, None)
-                item = None
-
-        def handler(conn):
-            rid_raw = yield from _read_request(conn)
-            if rid_raw is None:
-                yield from unistd.close(conn)
-                return
-            rid = rid_raw.decode()
-            yield from _enter_robust(qmutex)
-            over = active["handlers"] >= admission_limit
-            if not over:
-                active["handlers"] += 1
-            yield from qmutex.exit()
-            if over:
-                yield from reject(conn, rid, "handler-cap")
-                return
-            now = yield from unistd.gettimeofday()
-            stats["admitted"] += 1
-            yield from _note("net-admit", rid, mode=mode)
-            yield from serve(conn, rid, now, datafd)
-            yield from _enter_robust(qmutex)
-            active["handlers"] -= 1
-            yield from qmutex.exit()
-
-        def acceptor(_):
-            handler_tids = []
-            while True:
-                try:
-                    conn = yield from unistd.accept(lfd)
-                except SyscallError as err:
-                    if err.errno == Errno.EINTR:
-                        continue  # a sibling LWP forked a client
-                    if err.errno in (Errno.ECONNABORTED, Errno.EBADF):
-                        break  # main closed the listener: shift over
-                    if err.errno in (Errno.EMFILE, Errno.ENFILE):
-                        # fd table full: let in-flight handlers close
-                        # their conns, then drain the backlog.
-                        yield from unistd.sleep_usec(500.0)
-                        continue
-                    raise
-                m = (yield GetContext()).engine.metrics
-                if m is not None:
-                    m.count("server.accepts")
-                if mode == "thread-per-conn":
-                    tid = yield from threads.thread_create(
-                        handler, conn, flags=threads.THREAD_WAIT)
-                    handler_tids.append(tid)
-                    continue
-                rid_raw = yield from _read_request(conn)
-                if rid_raw is None:
-                    yield from unistd.close(conn)
-                    continue
-                rid = rid_raw.decode()
-                now = yield from unistd.gettimeofday()
-                # The admit ledger event goes out *before* the request
-                # becomes visible to workers (still under the queue
-                # mutex), so no schedule can serve an unadmitted id.
-                yield from _enter_robust(qmutex)
-                if len(queue) >= admission_limit:
-                    if shed == "oldest":
-                        old = queue.popleft()
-                        stats["admitted"] += 1
-                        yield from _note("net-admit", rid, mode=mode)
-                        queue.append((conn, rid, now))
-                        yield from qcv.signal()
-                        yield from qmutex.exit()
-                        yield from reject(old[0], old[1], "shed-oldest")
-                    else:
-                        yield from qmutex.exit()
-                        yield from reject(conn, rid, "reject-newest")
-                    continue
-                stats["admitted"] += 1
-                yield from _note("net-admit", rid, mode=mode)
-                queue.append((conn, rid, now))
-                yield from qcv.signal()
-                yield from qmutex.exit()
-            for tid in handler_tids:
-                yield from threads.thread_wait(tid)
-
-        worker_tids = []
-        if mode == "pool" and supervise:
-            from repro.threads.supervisor import Supervisor
-
-            def handover_arg(spec, dead):
-                # Kernel context (crash time): pull the victim's
-                # in-flight request; the replacement serves it first.
-                return inflight.pop(spec.name, None)
-
-            sup = Supervisor(max_restarts=max_restarts,
-                             restart_arg=handover_arg,
-                             heartbeat_timeout_usec=heartbeat_timeout_usec,
-                             name="srv-sup")
-            for i in range(n_workers):
-                spec = yield from sup.spawn(
-                    sworker, None, name=f"worker-{i}",
-                    flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
-                wspecs[spec.name] = spec
-        elif mode == "pool":
-            for i in range(n_workers):
-                tid = yield from threads.thread_create(
-                    worker, None,
-                    flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
-                worker_tids.append(tid)
-            if crash_storm is not None:
-                # Name the pool so the storm's target glob can find it
-                # (the supervised path names through its ChildSpecs).
-                ctx = yield GetContext()
-                for i, tid in enumerate(worker_tids):
-                    ctx.process.threadlib.threads[tid].name = f"worker-{i}"
-        else:
-            # Thread-per-connection: handlers are unbound, so give the
-            # pool enough LWPs up front (the paper's
-            # thread_setconcurrency hint); SIGWAITING still grows it
-            # when every one of these blocks in the kernel at once.
-            yield from threads.thread_setconcurrency(n_workers + 1)
-        acceptor_tid = yield from threads.thread_create(
-            acceptor, None,
-            flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
-
-        start = yield from unistd.gettimeofday()
-        pids = []
-        for c in range(n_clients):
-            pid = yield from unistd.fork1(client, c)
-            pids.append(pid)
-        for pid in pids:
-            yield from unistd.waitpid(pid)
-
-        # Clients are done: retire the listener (the acceptor's pending
-        # accept aborts), then drain and poison the pool.  Queued,
-        # already-admitted requests are served before the poison —
-        # FIFO order guarantees no admitted request is ever dropped.
-        yield from unistd.close(lfd)
-        yield from threads.thread_wait(acceptor_tid)
-        if supervise:
-            # Graceful drain: stop restarts *first*, then poison exactly
-            # the children still alive.  A crash from here on stays dead.
-            sup.drain()
-            yield from _enter_robust(qmutex)
-            live = [s for s in sup.children if s.thread is not None]
-            for _ in live:
-                queue.append(None)
-            yield from qcv.broadcast()
-            yield from qmutex.exit()
-            for spec in live:
-                t = spec.thread
-                if t is not None:
-                    yield from threads.thread_wait(t.thread_id)
-            # Requests the supervisor could not recover — a give-up, or
-            # a crash whose restart this drain pre-empted — are shed
-            # explicitly so the ledger still balances.
-            for wname in sorted(inflight):
-                conn, rid, _enq = inflight.pop(wname)
-                yield from reject(conn, rid, "crash-unrecovered")
-        else:
-            yield from _enter_robust(qmutex)
-            for _ in worker_tids:
-                queue.append(None)
-            yield from qcv.broadcast()
-            yield from qmutex.exit()
-            for tid in worker_tids:
-                yield from threads.thread_wait(tid)
-        end = yield from unistd.gettimeofday()
-        yield from unistd.close(datafd)
-
-        ctx = yield GetContext()
-        _fill_results(results, stats, start, end, ctx)
-        if supervise:
-            results["worker_restarts"] = sum(
-                s.restarts for s in sup.children)
-            results["worker_give_ups"] = sum(
-                1 for s in sup.children if s.gave_up)
-
-    return main, results
+    return _server(stats, mode=mode, n_workers=n_workers,
+                   service_compute_usec=service_compute_usec,
+                   backlog=backlog, admission_limit=admission_limit,
+                   shed=shed, port=port, clients=(client, n_clients),
+                   supervise=supervise, max_restarts=max_restarts,
+                   heartbeat_timeout_usec=heartbeat_timeout_usec,
+                   crash_storm=crash_storm)
 
 
 def build_server(mode: str = "pool", n_workers: int = 4,
@@ -656,181 +697,13 @@ def build_server(mode: str = "pool", n_workers: int = 4,
     closed, and every architecture drains in-flight work before the
     results dict is filled.
 
-    Differences from :func:`build` are deliberate and architectural:
-
-    * ``thread-per-conn`` handlers here are *detached* (completion
-      tracked with a counter under the admission mutex) — joining 10^5
-      zombie threads at drain time would hold every dead handler alive
-      for the whole run;
-    * pool workers are always named ``worker-<i>`` so crash-storm fault
-      plans can target them;
-    * there is no ``supervise`` flag — crash containment is
-      :func:`build`'s chaos-gate territory; under the bakeoff a killed
-      worker simply surfaces as timeouts in the outcome table.
+    It runs the same server core as :func:`build`.  The only
+    differences are the client source and termination above, and that
+    there is no ``supervise`` flag: crash containment is :func:`build`'s
+    chaos-gate territory; under the bakeoff a killed worker simply
+    surfaces as timeouts in the outcome table.
     """
-    if mode not in ("pool", "thread-per-conn", "event-loop"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if shed not in ("reject-newest", "oldest"):
-        raise ValueError(f"unknown shed policy {shed!r}")
-    results: dict = {}
-    stats = {"admitted": 0, "served": 0, "shed": 0, "latency_ns": 0,
-             "client_ok": 0, "client_giveups": 0, "client_retries": 0}
-
-    def main():
-        from repro.kernel.signals import SIG_IGN, Sig
-        yield from unistd.sigaction(int(Sig.SIGPIPE), SIG_IGN)
-        datafd = yield from unistd.open("/tmp/server.data",
-                                        O_CREAT | O_RDWR)
-        yield from unistd.write(datafd, b"x" * 4096)
-        if mode == "event-loop":
-            lfd = yield from unistd.socket(O_NONBLOCK)
-        else:
-            lfd = yield from unistd.socket()
-        yield from unistd.bind(lfd, port)
-        yield from unistd.listen(lfd, backlog)
-        start = yield from unistd.gettimeofday()
-
-        if mode == "event-loop":
-            yield from _event_loop(lfd, datafd, stats,
-                                   service_compute_usec)
-            end = yield from unistd.gettimeofday()
-            yield from unistd.close(datafd)
-            _fill_results(results, stats, start, end,
-                          (yield GetContext()))
-            return
-
-        queue: deque = deque()
-        qmutex = Mutex(name="srv.qm")
-        qcv = CondVar(name="srv.qcv")
-        # Thread-per-conn accounting: handlers are detached, so the
-        # drain waits on spawned == finished instead of joining tids.
-        active = {"handlers": 0, "spawned": 0, "finished": 0}
-
-        def worker(_):
-            while True:
-                yield from _enter_robust(qmutex)
-                while not queue:
-                    if (yield from qcv.wait(qmutex)):
-                        qmutex.consistent()
-                item = queue.popleft()
-                yield from qmutex.exit()
-                if item is None:
-                    return
-                conn, rid, enq_ns = item
-                yield from _serve(conn, rid, enq_ns, datafd, stats,
-                                  service_compute_usec)
-
-        def handler(conn):
-            rid_raw = yield from _read_request(conn)
-            if rid_raw is not None:
-                rid = rid_raw.decode()
-                yield from _enter_robust(qmutex)
-                over = active["handlers"] >= admission_limit
-                if not over:
-                    active["handlers"] += 1
-                yield from qmutex.exit()
-                if over:
-                    yield from _reject(conn, rid, "handler-cap", stats)
-                else:
-                    now = yield from unistd.gettimeofday()
-                    stats["admitted"] += 1
-                    yield from _note("net-admit", rid, mode=mode)
-                    yield from _serve(conn, rid, now, datafd, stats,
-                                      service_compute_usec)
-                    yield from _enter_robust(qmutex)
-                    active["handlers"] -= 1
-                    yield from qmutex.exit()
-            else:
-                yield from _close_quiet(conn)
-            yield from _enter_robust(qmutex)
-            active["finished"] += 1
-            yield from qcv.broadcast()
-            yield from qmutex.exit()
-
-        def acceptor(_):
-            while True:
-                try:
-                    conn = yield from unistd.accept(lfd)
-                except SyscallError as err:
-                    if err.errno == Errno.EINTR:
-                        continue
-                    if err.errno in (Errno.ECONNABORTED, Errno.EBADF,
-                                     Errno.EINVAL):
-                        break  # listener retired: drain and exit
-                    if err.errno in (Errno.EMFILE, Errno.ENFILE):
-                        # fd table full: let in-flight handlers close
-                        # their conns, then drain the backlog.
-                        yield from unistd.sleep_usec(500.0)
-                        continue
-                    raise
-                m = (yield GetContext()).engine.metrics
-                if m is not None:
-                    m.count("server.accepts")
-                if mode == "thread-per-conn":
-                    active["spawned"] += 1
-                    yield from threads.thread_create(handler, conn)
-                    continue
-                rid_raw = yield from _read_request(conn)
-                if rid_raw is None:
-                    yield from _close_quiet(conn)
-                    continue
-                rid = rid_raw.decode()
-                now = yield from unistd.gettimeofday()
-                yield from _enter_robust(qmutex)
-                if len(queue) >= admission_limit:
-                    if shed == "oldest":
-                        old = queue.popleft()
-                        stats["admitted"] += 1
-                        yield from _note("net-admit", rid, mode=mode)
-                        queue.append((conn, rid, now))
-                        yield from qcv.signal()
-                        yield from qmutex.exit()
-                        yield from _reject(old[0], old[1],
-                                           "shed-oldest", stats)
-                    else:
-                        yield from qmutex.exit()
-                        yield from _reject(conn, rid, "reject-newest",
-                                           stats)
-                    continue
-                stats["admitted"] += 1
-                yield from _note("net-admit", rid, mode=mode)
-                queue.append((conn, rid, now))
-                yield from qcv.signal()
-                yield from qmutex.exit()
-
-        worker_tids = []
-        if mode == "pool":
-            ctx = yield GetContext()
-            for i in range(n_workers):
-                tid = yield from threads.thread_create(
-                    worker, None,
-                    flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
-                worker_tids.append(tid)
-                ctx.process.threadlib.threads[tid].name = f"worker-{i}"
-        else:
-            yield from threads.thread_setconcurrency(n_workers + 1)
-        acceptor_tid = yield from threads.thread_create(
-            acceptor, None,
-            flags=threads.THREAD_WAIT | threads.THREAD_NEW_LWP)
-        yield from threads.thread_wait(acceptor_tid)
-
-        if mode == "pool":
-            yield from _enter_robust(qmutex)
-            for _ in worker_tids:
-                queue.append(None)
-            yield from qcv.broadcast()
-            yield from qmutex.exit()
-            for tid in worker_tids:
-                yield from threads.thread_wait(tid)
-        else:
-            yield from _enter_robust(qmutex)
-            while active["finished"] < active["spawned"]:
-                if (yield from qcv.wait(qmutex)):
-                    qmutex.consistent()
-            yield from qmutex.exit()
-        end = yield from unistd.gettimeofday()
-        yield from unistd.close(datafd)
-        _fill_results(results, stats, start, end,
-                      (yield GetContext()))
-
-    return main, results
+    return _server(_new_stats(), mode=mode, n_workers=n_workers,
+                   service_compute_usec=service_compute_usec,
+                   backlog=backlog, admission_limit=admission_limit,
+                   shed=shed, port=port)

@@ -1,12 +1,14 @@
 """Docs-consistency gate as tests (same checks as tools/check_docs.py).
 
-Each check is its own test so a dead link and a drifted CLI block fail
-separately; the CI ``docs`` job runs the standalone script, this keeps
-plain ``pytest`` honest too.
+Each check (and each catalogue row) is its own test so a dead link and
+a drifted CLI block fail separately; the CI ``docs`` job runs the
+standalone script, this keeps plain ``pytest`` honest too.
 """
 
 import os
 import sys
+
+import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
                                 "tools"))
@@ -26,17 +28,6 @@ def test_example_inventory_in_sync():
     assert check_docs.check_example_inventory() == []
 
 
-def test_rule_catalogue_in_sync():
-    assert check_docs.check_rule_catalogue() == []
-
-
-def test_class_catalogue_in_sync():
-    assert check_docs.check_class_catalogue() == []
-
-
-def test_load_cli_flag_reference_in_sync():
-    assert check_docs.check_load_cli() == []
-
-
-def test_arrival_catalogue_in_sync():
-    assert check_docs.check_arrival_catalogue() == []
+@pytest.mark.parametrize("name", sorted(check_docs.CATALOGUES))
+def test_catalogue_in_sync(name):
+    assert check_docs.check_catalogue(check_docs.CATALOGUES[name]) == []

@@ -101,6 +101,58 @@ class TestReplay:
         assert a.digest != b.digest
 
 
+#: Trace digest and fired-event count of ``build()`` runs that no corpus
+#: entry pins (seed 0, no schedule rules).  The pool and event-loop
+#: values were recorded before ``build()`` and ``build_server()`` shared
+#: one server core and must hold byte-for-byte.  The thread-per-conn
+#: value was recorded after: the shared core's handlers are detached
+#: and drained by count, which changed that stream.
+BUILD_GOLDEN = {
+    "pool-reject-newest": (
+        dict(shed="reject-newest", **OVERLOAD),
+        "72706e261ae8d58f554afc54da816a6c2ba652ffb71f27fc1112466ff101d407",
+        12732),
+    "pool-oldest": (
+        dict(shed="oldest", **OVERLOAD),
+        "d1d7daa204b8ca2ff5548a99bc167de9a15f808b6b168a3f6fbbcf5d5d6e86c8",
+        25659),
+    "event-loop": (
+        dict(mode="event-loop", n_clients=3, requests_per_client=5),
+        "36ead2be34b13da7c7069a95a21125c1ae975d03f75ec8fbc7708f050fc7f03e",
+        1111),
+    "thread-per-conn": (
+        dict(mode="thread-per-conn", **OVERLOAD),
+        "6b582bb4c9928f245a265540a6b7fa9d4a22eba09cd1367f3d73057d0f11b21d",
+        8924),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_GOLDEN))
+def test_build_run_matches_golden(name):
+    params, digest, events = BUILD_GOLDEN[name]
+    result = run_one(lambda: network_server.build(**params)[0],
+                     program=name, seed=0)
+    assert not result.failed, result.summary()
+    assert (result.digest, result.events) == (digest, events)
+
+
+class TestWorkerNames:
+    def test_outside_crash_storm_finds_the_unsupervised_pool(self):
+        """A storm attached through the simulator, not ``crash_storm=``,
+        must still find the pool: workers are named from birth."""
+        from repro.sim.faults import CrashStorm, FaultPlan
+        storm = CrashStorm(start_usec=2_000.0, interval_usec=2_000.0,
+                           count=3, target="worker-*")
+        main, _res = network_server.build(
+            n_clients=3, requests_per_client=4, n_workers=3,
+            service_compute_usec=800.0, client_think_usec=300.0,
+            admission_limit=8, client_attempts=4)
+        sim = Simulator(ncpus=2, seed=0, faults=FaultPlan([storm]))
+        sim.spawn(main)
+        sim.run()
+        assert storm.victims
+
+
 class TestEventLoop:
     """The third architecture: a single-LWP select() event loop."""
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-consistency checker: links, CLI usage blocks, example coverage.
 
-Five classes of rot this catches, all of which have actually happened
+Four classes of rot this catches, all of which have actually happened
 to this repo or will:
 
 1. **Dead relative links** — ``[text](docs/FILE.md)`` pointing at a
@@ -10,18 +10,15 @@ to this repo or will:
 2. **CLI drift** — a fenced shell block showing ``python -m repro.x
    --flag`` where ``--flag`` is no longer (or never was) accepted.
    Flags are validated against the live ``--help`` of each CLI.
-3. **Rule-catalogue drift** — a lint rule id (from the live
-   ``--list-rules``) missing from the ARCHITECTURE §9 catalogue, or a
-   doc mentioning an ``L###`` id the linter does not know.
-4. **Sched-class catalogue drift** — a registered scheduling class
-   (from the live ``--list-sched-classes``) missing from the
-   ARCHITECTURE catalogue table, or the table naming a class the
-   kernel does not register.
-5. **Load-CLI / arrival-catalogue drift** — docs/SCALING.md's flag
-   reference disagreeing with the live ``python -m repro.load bakeoff
-   --help``, or its arrival-process table disagreeing with
-   ``--list-arrivals`` (both checked in both directions).
-6. **Example-list drift** — a file in ``examples/`` missing from the
+3. **Catalogue drift** — a doc catalogue disagreeing, in either
+   direction, with the live command that lists the same names (one
+   table, :data:`CATALOGUES`): lint rule ids (``--list-rules``) vs the
+   ARCHITECTURE §9 catalogue and any ``L###`` a doc mentions;
+   scheduling classes (``--list-sched-classes``) vs the ARCHITECTURE
+   class table; docs/SCALING.md's flag reference vs the live
+   ``python -m repro.load bakeoff --help``; and its arrival-process
+   table vs ``--list-arrivals``.
+4. **Example-list drift** — a file in ``examples/`` missing from the
    README's inventory, or the README naming an example that is gone.
 
 Run:  python tools/check_docs.py   (exit 1 on any finding)
@@ -35,6 +32,7 @@ import os
 import re
 import subprocess
 import sys
+from typing import NamedTuple, Optional
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -95,11 +93,14 @@ def check_links() -> list[str]:
 
 # --------------------------------------------------------- 2. CLI drift
 
+def _run_cli(argv: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run(argv, capture_output=True, text=True, cwd=REPO,
+                          env={**os.environ,
+                               "PYTHONPATH": os.path.join(REPO, "src")})
+
+
 def _help_flags(argv: list[str]) -> set[str]:
-    out = subprocess.run(argv + ["--help"], capture_output=True,
-                         text=True, cwd=REPO,
-                         env={**os.environ,
-                              "PYTHONPATH": os.path.join(REPO, "src")})
+    out = _run_cli(argv + ["--help"])
     if out.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} --help failed:\n"
                            f"{out.stderr}")
@@ -132,154 +133,98 @@ def check_cli_blocks() -> list[str]:
     return problems
 
 
-# -------------------------------------------- 3. lint rule catalogue
+# --------------------------------------------------- 3. catalogue drift
 
-def check_rule_catalogue() -> list[str]:
-    """Every lint rule id must appear in ARCHITECTURE §9, and every
-    L-rule token the docs mention must exist in the live catalogue
-    (no ghost rules, no undocumented rules)."""
-    problems = []
-    out = subprocess.run(
-        [sys.executable, "-m", "repro.lint", "--list-rules"],
-        capture_output=True, text=True, cwd=REPO,
-        env={**os.environ, "PYTHONPATH": os.path.join(REPO, "src")})
-    if out.returncode != 0:
-        return [f"repro.lint --list-rules failed:\n{out.stderr}"]
-    known = set(re.findall(r"^(L\d{3}):", out.stdout, re.MULTILINE))
-    arch_rel = "docs/ARCHITECTURE.md"
-    with open(os.path.join(REPO, arch_rel)) as fh:
-        arch = fh.read()
-    for rule in sorted(known):
-        if rule not in arch:
-            problems.append(f"{arch_rel}: rule {rule} missing from the "
-                            "§9 catalogue")
-    for rel in _doc_paths():
-        with open(os.path.join(REPO, rel)) as fh:
-            text = fh.read()
-        for rule in set(re.findall(r"\bL\d{3}\b", text)):
-            if rule not in known:
-                problems.append(f"{rel}: mentions unknown rule {rule}")
-    return problems
+class Catalogue(NamedTuple):
+    """One catalogue a doc keeps of names a live command prints."""
+
+    #: The live command (after ``python -m``) and a regex for the names
+    #: it prints.
+    cmd: list[str]
+    live: str
+    #: The doc file and its ``## `` section holding the catalogue (None:
+    #: the whole file), and a regex for the names the doc claims there.
+    doc: str
+    section: Optional[str]
+    claims: str
+    #: Messages for a live name the doc misses, and for a claim the
+    #: live command does not print.
+    missing: str
+    unknown: str
+    #: Claims are also checked in every other doc file (prose mentions
+    #: count as claims there).
+    everywhere: bool = False
 
 
-# -------------------------------------------- 4. sched class catalogue
-
-def check_class_catalogue() -> list[str]:
-    """Every registered scheduling class must appear in the
-    ARCHITECTURE §12 catalogue table, and every class the table names
-    must exist in the live registry (no ghost classes, no undocumented
-    classes) — the scheduler twin of the lint-rule check above."""
-    problems = []
-    out = subprocess.run(
-        [sys.executable, "-m", "repro.explore", "--list-sched-classes"],
-        capture_output=True, text=True, cwd=REPO,
-        env={**os.environ, "PYTHONPATH": os.path.join(REPO, "src")})
-    if out.returncode != 0:
-        return [f"repro.explore --list-sched-classes failed:\n"
-                f"{out.stderr}"]
-    known = set(re.findall(r"^([A-Z]+):", out.stdout, re.MULTILINE))
-    if not known:
-        return ["repro.explore --list-sched-classes printed no classes"]
-    arch_rel = "docs/ARCHITECTURE.md"
-    with open(os.path.join(REPO, arch_rel)) as fh:
-        arch = fh.read()
-    sect = re.search(r"^## \d+\. Kernel scheduling classes\b.*?"
-                     r"(?=^## )", arch, re.MULTILINE | re.DOTALL)
-    if sect is None:
-        return [f"{arch_rel}: scheduling-classes section not found"]
-    section = sect.group(0)
-    for cls in sorted(known):
-        if f"`{cls}`" not in section:
-            problems.append(f"{arch_rel}: class {cls} missing from the "
-                            "scheduling-class catalogue")
-    # Only the catalogue table's first column counts as a class claim;
-    # prose backticks elsewhere (errno names etc.) are out of scope.
-    for cls in set(re.findall(r"^\| `([A-Z]+)` \|", section,
-                              re.MULTILINE)):
-        if cls not in known:
-            problems.append(f"{arch_rel}: catalogue lists unknown "
-                            f"class {cls}")
-    return problems
+#: Both directions are checked for each: no undocumented name, no ghost.
+CATALOGUES = {
+    # Lint rule ids vs the ARCHITECTURE §9 catalogue; any doc's L###.
+    "rules": Catalogue(
+        ["repro.lint", "--list-rules"], r"(?m)^(L\d{3}):",
+        "docs/ARCHITECTURE.md", None, r"\b(L\d{3})\b",
+        "rule {} missing from the §9 catalogue",
+        "mentions unknown rule {}", everywhere=True),
+    # Registered scheduling classes vs the §12 table's first column.
+    "sched-classes": Catalogue(
+        ["repro.explore", "--list-sched-classes"], r"(?m)^([A-Z]+):",
+        "docs/ARCHITECTURE.md", "Kernel scheduling classes",
+        r"(?m)^\| `([A-Z]+)` \|",
+        "class {} missing from the scheduling-class catalogue",
+        "catalogue lists unknown class {}"),
+    # The bakeoff's usage block vs the flags leading each bullet.
+    "load-cli": Catalogue(
+        ["repro.load", "bakeoff", "--help"], r"\[(--[a-z][\w-]*)",
+        "docs/SCALING.md", "Flag reference",
+        r"(?m)(?:^\* `|` / `)(--[a-z][\w-]*)(?=`)",
+        "bakeoff flag {} missing from the flag reference",
+        "flag reference lists {}, which bakeoff --help does not accept"),
+    # Registered arrival processes vs the catalogue table.
+    "arrivals": Catalogue(
+        ["repro.load", "--list-arrivals"], r"(?m)^([a-z]+):",
+        "docs/SCALING.md", "Arrival-process catalogue",
+        r"(?m)^\| `([a-z]+)` \|",
+        "arrival process {} missing from the catalogue table",
+        "catalogue lists unknown arrival process {}"),
+}
 
 
-# ------------------------------------- 5. load CLI / arrival catalogue
-
-def _scaling_section(title: str) -> str | None:
-    """Return the named ``## <title>`` section of docs/SCALING.md."""
-    with open(os.path.join(REPO, "docs", "SCALING.md")) as fh:
-        text = fh.read()
-    m = re.search(rf"^## {re.escape(title)}\b.*?(?=^## |\Z)", text,
-                  re.MULTILINE | re.DOTALL)
+def _section(text: str, title: Optional[str]) -> Optional[str]:
+    """The ``## [N. ]<title>`` section of ``text`` (all of it for None)."""
+    if title is None:
+        return text
+    m = re.search(rf"^## (?:\d+\. )?{re.escape(title)}\b.*?(?=^## |\Z)",
+                  text, re.MULTILINE | re.DOTALL)
     return m.group(0) if m else None
 
 
-def check_load_cli() -> list[str]:
-    """SCALING.md's flag reference and the live ``python -m repro.load
-    bakeoff --help`` must agree both ways: no flag the CLI dropped, no
-    flag the doc forgot."""
-    problems = []
-    doc_rel = "docs/SCALING.md"
-    section = _scaling_section("Flag reference")
-    if section is None:
-        return [f"{doc_rel}: '## Flag reference' section not found"]
-    # Doc side: only the bullet lines claim flags; prose references
-    # (``--list-arrivals`` etc.) are out of scope.
-    documented = set()
-    for line in section.splitlines():
-        if line.startswith("* `--"):
-            documented.update(_FLAG_RE.findall(line))
-    out = subprocess.run(
-        [sys.executable, "-m", "repro.load", "bakeoff", "--help"],
-        capture_output=True, text=True, cwd=REPO,
-        env={**os.environ, "PYTHONPATH": os.path.join(REPO, "src")})
+def check_catalogue(cat: Catalogue) -> list[str]:
+    """The doc's catalogue and the live command agree both ways."""
+    cmd = " ".join(cat.cmd)
+    out = _run_cli([sys.executable, "-m"] + cat.cmd)
     if out.returncode != 0:
-        return [f"repro.load bakeoff --help failed:\n{out.stderr}"]
-    # Live side: the usage block lists each accepted flag exactly once
-    # (option descriptions mention other commands' flags; skip them).
-    usage = out.stdout.split("\noptions:", 1)[0]
-    live = set(_FLAG_RE.findall(usage)) - {"--help"}
-    for flag in sorted(live - documented):
-        problems.append(f"{doc_rel}: bakeoff flag {flag} missing from "
-                        "the flag reference")
-    for flag in sorted(documented - live):
-        problems.append(f"{doc_rel}: flag reference lists {flag}, which "
-                        "bakeoff --help does not accept")
-    return problems
-
-
-def check_arrival_catalogue() -> list[str]:
-    """Every arrival process the generator registers must appear in the
-    SCALING.md catalogue table, and every kind the table names must
-    exist live — the load-generator twin of the catalogue checks
-    above."""
-    problems = []
-    doc_rel = "docs/SCALING.md"
-    out = subprocess.run(
-        [sys.executable, "-m", "repro.load", "--list-arrivals"],
-        capture_output=True, text=True, cwd=REPO,
-        env={**os.environ, "PYTHONPATH": os.path.join(REPO, "src")})
-    if out.returncode != 0:
-        return [f"repro.load --list-arrivals failed:\n{out.stderr}"]
-    known = set(re.findall(r"^([a-z]+):", out.stdout, re.MULTILINE))
+        return [f"{cmd} failed:\n{out.stderr}"]
+    known = set(re.findall(cat.live, out.stdout))
     if not known:
-        return ["repro.load --list-arrivals printed no processes"]
-    section = _scaling_section("Arrival-process catalogue")
+        return [f"{cmd} printed no catalogue entries"]
+    with open(os.path.join(REPO, cat.doc)) as fh:
+        section = _section(fh.read(), cat.section)
     if section is None:
-        return [f"{doc_rel}: '## Arrival-process catalogue' section "
-                "not found"]
-    for kind in sorted(known):
-        if f"| `{kind}` |" not in section:
-            problems.append(f"{doc_rel}: arrival process {kind} missing "
-                            "from the catalogue table")
-    for kind in set(re.findall(r"^\| `([a-z]+)` \|", section,
-                               re.MULTILINE)):
-        if kind not in known:
-            problems.append(f"{doc_rel}: catalogue lists unknown "
-                            f"arrival process {kind}")
+        return [f"{cat.doc}: '## {cat.section}' section not found"]
+    claimed = {cat.doc: set(re.findall(cat.claims, section))}
+    if cat.everywhere:
+        for rel in _doc_paths():
+            with open(os.path.join(REPO, rel)) as fh:
+                claimed.setdefault(rel, set(re.findall(cat.claims,
+                                                       fh.read())))
+    problems = [f"{cat.doc}: " + cat.missing.format(name)
+                for name in sorted(known - claimed[cat.doc])]
+    for rel, names in claimed.items():
+        problems += [f"{rel}: " + cat.unknown.format(name)
+                     for name in sorted(names - known)]
     return problems
 
 
-# ------------------------------------------------- 6. example inventory
+# ------------------------------------------------- 4. example inventory
 
 def check_example_inventory() -> list[str]:
     """examples/*.py and the README inventory must agree both ways."""
@@ -301,10 +246,10 @@ def check_example_inventory() -> list[str]:
 
 
 def main() -> int:
-    problems = (check_links() + check_cli_blocks()
-                + check_rule_catalogue() + check_class_catalogue()
-                + check_load_cli() + check_arrival_catalogue()
-                + check_example_inventory())
+    problems = check_links() + check_cli_blocks()
+    for cat in CATALOGUES.values():
+        problems += check_catalogue(cat)
+    problems += check_example_inventory()
     for p in problems:
         print(f"DOCS: {p}")
     print(f"check_docs: {len(problems)} problem(s) across "
